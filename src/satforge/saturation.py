@@ -53,13 +53,17 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
         return SaturationReport(k, False, violation, {}, "not-free")
     witnesses = {}
     missing = None
+    reaches = {}  # target v -> kernels.reach masks, shared by its non-edges
     for u, v in g.non_edges():
-        p = find_path(g, u, v, k - 1)
+        masks = reaches.get(v)
+        if masks is None:
+            masks = reaches[v] = kernels.reach(g.adj, v, k - 1)
+        p = kernels.least_path(g.adj, u, v, k - 1, 0, masks)
         if p is None:
             if missing is None:
                 missing = (u, v)
             continue
-        witnesses[(u, v)] = CyclePath(p.vertices, "cycle")
+        witnesses[(u, v)] = CyclePath(p, "cycle")
     if missing is not None:
         return SaturationReport(k, True, None, witnesses, "missing-witness", missing)
     return SaturationReport(k, True, None, witnesses, "saturated")

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import Graph, GraphError, has_path, to_graph6, write_graph6_file
+from .graph import Graph, GraphError, has_path, write_graph6_file
 
 MAX_CANON_VERTICES = 16
 
@@ -73,15 +73,10 @@ def _is_twin_cell(g, cell):
 
 
 def _leaf_code(g, cells):
-    pos = {}
-    for i, c in enumerate(cells):
-        pos[c[0]] = i
     code = 0
-    bit = 0
     for j in range(1, g.n):
         for i in range(j):
             code <<= 1
-            bit += 1
             vj = cells[j][0]
             if g.adj[cells[i][0]] >> vj & 1:
                 code |= 1
@@ -281,7 +276,3 @@ def summary_table(results) -> str:
             f"{r.status:>18} {r.nodes:>10}"
         )
     return "\n".join(lines)
-
-
-def witness_record(g: Graph) -> str:
-    return to_graph6(g)
