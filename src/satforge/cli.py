@@ -97,14 +97,22 @@ def cmd_construct(args):
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def cmd_check(args):
+def _read_graphs(path):
+    """The graph6 records in `path`; on a read error or an empty file, print
+    the error and return an empty list."""
     try:
-        graphs = read_graph6_file(args.file)
+        graphs = read_graph6_file(path)
     except (OSError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return []
     if not graphs:
         print("error: no graphs in input", file=sys.stderr)
+    return graphs
+
+
+def cmd_check(args):
+    graphs = _read_graphs(args.file)
+    if not graphs:
         return EXIT_USAGE
     all_ok = True
     for i, g in enumerate(graphs):
@@ -141,13 +149,8 @@ def cmd_search(args):
 
 
 def cmd_audit(args):
-    try:
-        graphs = read_graph6_file(args.file)
-    except (OSError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    graphs = _read_graphs(args.file)
     if not graphs:
-        print("error: no graphs in input", file=sys.stderr)
         return EXIT_USAGE
     stages = None
     if args.dump_stages:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import kernels
 from .graph import Graph, GraphError, LevelPartition, bfs_levels
 from .saturation import (
     PreconditionError,
-    check_saturated,
+    degree_sum_check,
     good_roots,
     is_saturated_fast,
     t_sets,
@@ -103,18 +104,14 @@ PLUS = ("1", "2")
 # ---------------------------------------------------------------------------
 
 def _four_cycles_through(g, u):
-    """Distinct 4-cycles (as subgraphs) containing u."""
-    count = 0
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if g.has_edge(a, b) or not (g.adj[a] & g.adj[b]):
-                continue
-            commons = [w for w in g.neighbors(a) if g.has_edge(b, w)]
-            for i, w1 in enumerate(commons):
-                for w2 in commons[i + 1:]:
-                    if u in (a, b, w1, w2):
-                        count += 1
-    return count
+    """Pairs (4-cycle through u, diagonal of it that is not an edge).
+
+    A 4-cycle counts once per non-adjacent diagonal, so C_4 gives 2 at every
+    vertex and K_4 gives 0. Each cycle (u, a, b, c) is listed in both
+    directions; a < c keeps one.
+    """
+    return sum((not g.has_edge(u, b)) + (not g.has_edge(a, c))
+               for _, a, b, c, _ in kernels.all_paths(g.adj, u, u, 4) if a < c)
 
 
 def choose_root(g: Graph) -> RootChoice:
@@ -171,16 +168,20 @@ def level_charges(g: Graph, root: int, max_level: int = 5):
     return ledger
 
 
+def _identity_holds(ledger) -> bool:
+    """e(G) = sum_x g(x) + 4n/3 for the ledger's initial charge, exactly."""
+    g = ledger.graph
+    return sum(ledger.stages["g"].values(), F(0)) + BASE * g.n == g.edge_count
+
+
 def charge_identity_holds(g: Graph, root: int) -> bool:
-    """e(G) = sum_x g(x) + 4n/3, exactly."""
-    ledger = level_charges(g, root)
-    total = sum(ledger.stages["g"].values(), F(0))
-    return total + BASE * g.n == g.edge_count
+    """The charge identity for the initial charge layered from `root`."""
+    return _identity_holds(level_charges(g, root))
 
 
 def initial_charge(g: Graph, rc: RootChoice) -> ChargeLedger:
     ledger = level_charges(g, rc.alpha)
-    if not charge_identity_holds(g, rc.alpha):
+    if not _identity_holds(ledger):
         raise DischargeError("initial charge identity failed")
     return ledger
 
@@ -250,25 +251,24 @@ def _c1_exclusions(ledger, u):
     return out
 
 
-def _level_one_pairs(ledger, i):
-    """Adjacent pairs of 1/6-vertices in level i; disjoint because each such
-    vertex has exactly one same-level neighbor."""
-    pairs = []
-    ones = sorted(v for v in ledger.level_set(i) if ledger.classes.get(v) == "1")
-    for v in ones:
-        same = ledger.nbrs_class(v, i, ("1",))
-        for w in same:
-            if v < w:
-                pairs.append((v, w))
-    return pairs
+def _paired_ones(ledger, i):
+    """Adjacent 1/6-vertices a, b of level i that each have a unique level-(i-1)
+    neighbor (ya, yb), as (a, b, ya, yb) in both orientations. The pairs are
+    disjoint because each such vertex has exactly one same-level neighbor."""
+    for a in sorted(ledger.level_set(i)):
+        ya = ledger.nbrs_at(a, i - 1)
+        if ledger.classes.get(a) != "1" or len(ya) != 1:
+            continue
+        for b in ledger.nbrs_class(a, i, ("1",)):
+            yb = ledger.nbrs_at(b, i - 1)
+            if len(yb) == 1:
+                yield a, b, ya[0], yb[0]
 
 
 def stage_one(ledger: ChargeLedger) -> ChargeLedger:
     """First-stage steps: class-driven sends, then two rounds of same-level
     balancing in the deepest layer interleaved with zeroing of residual
     negative charge from above."""
-    if not ledger.classes and ledger.graph.n > 1:
-        classify(ledger)
     g = ledger.stages["g"]
     depth = ledger.partition.depth
 
@@ -300,17 +300,8 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
 
     # steps 2 and 4: same-level 1/6 pair balancing in the deepest layer
     def pair_balance(charges):
-        moves = []
-        for w1, w2 in _level_one_pairs(ledger, 5):
-            y1 = ledger.nbrs_at(w1, 4)
-            y2 = ledger.nbrs_at(w2, 4)
-            if len(y1) != 1 or len(y2) != 1:
-                continue
-            c1, c2 = charges[y1[0]], charges[y2[0]]
-            if c1 >= 0 and c2 < 0:
-                moves.append((w1, w2, SIXTH))
-            elif c2 >= 0 and c1 < 0:
-                moves.append((w2, w1, SIXTH))
+        moves = [(a, b, SIXTH) for a, b, ya, yb in _paired_ones(ledger, 5)
+                 if charges[ya] >= 0 and charges[yb] < 0]
         return _apply(charges, moves)
 
     g2 = pair_balance(g1)
@@ -348,31 +339,36 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
 # stage two
 # ---------------------------------------------------------------------------
 
-def _stage2_step1(ledger, gstar):
-    """Deepest level empties itself into the level above, with two special
-    split patterns for senders wedged between negative receivers."""
-    transfers = []
-    for w in sorted(ledger.level_set(5)):
-        down = ledger.nbrs_at(w, 4)
-        if not down:
-            ledger.flag(f"level-5 vertex {w} has no level-4 neighbor")
+def _empty_level(ledger, charges, i, step, split=None, negatives_send=False):
+    """Stage-two steps 1, 3 and 7: every sender in level i passes its whole
+    charge to its level-(i-1) neighbors, in the fractions of the `split`
+    pattern when one applies and in equal shares otherwise. Negative vertices
+    send only when `negatives_send` is set."""
+    transfers, senders = [], []
+    for w in sorted(ledger.level_set(i)):
+        if charges[w] < 0 and not negatives_send:
             continue
-        split = _split_exception(ledger, w, down)
-        if split is not None:
-            for z, frac in split:
-                transfers.append((w, z, gstar[w] * frac))
-        else:
-            share = gstar[w] / len(down)
-            for z in down:
-                transfers.append((w, z, share))
-    f1 = _apply(gstar, transfers)
-    for w in ledger.level_set(5):
-        if ledger.nbrs_at(w, 4) and f1[w] != 0:
-            raise RuleConflict(f"level-5 vertex {w} not emptied by stage-two step 1")
-    return f1
+        down = ledger.nbrs_at(w, i - 1)
+        if not down:
+            ledger.flag(f"level-{i} vertex {w} has no level-{i - 1} neighbor")
+            continue
+        fracs = split(ledger, w, down) if split else None
+        if fracs is None:
+            fracs = [(z, F(1, len(down))) for z in down]
+        transfers += [(w, z, charges[w] * frac) for z, frac in fracs]
+        senders.append(w)
+    out = _apply(charges, transfers)
+    for w in senders:
+        if out[w] != 0:
+            raise RuleConflict(
+                f"level-{i} vertex {w} not emptied by stage-two step {step}")
+    return out
 
 
 def _split_exception(ledger, w, down):
+    """Step 1's split for a degree-3 sender wedged between negative
+    receivers: 2/3-1/3 over two of them or 1/2-1/4-1/4 over three; None when
+    neither pattern applies."""
     g = ledger.graph
 
     def n5minus(z):
@@ -416,47 +412,19 @@ def _stage2_step2(ledger, f1):
         if needy and f1[z] >= SIXTH * len(needy):
             for z2 in needy:
                 transfers.append((z, z2, SIXTH))
-    for z1, z2 in _level_one_pairs(ledger, 4):
-        y1 = ledger.nbrs_at(z1, 3)
-        y2 = ledger.nbrs_at(z2, 3)
-        if len(y1) != 1 or len(y2) != 1:
-            continue
-        for recv, send, yr, ys in ((z1, z2, y1[0], y2[0]), (z2, z1, y2[0], y1[0])):
-            if f1[recv] == 0 and f1[yr] < 0:
-                if (f1[send] >= THIRD and f1[ys] < 0) or (
-                    f1[send] >= SIXTH and f1[ys] >= 0
-                ):
-                    transfers.append((send, recv, SIXTH))
+    for recv, send, yr, ys in _paired_ones(ledger, 4):
+        if f1[recv] == 0 and f1[yr] < 0:
+            if (f1[send] >= THIRD and f1[ys] < 0) or (
+                f1[send] >= SIXTH and f1[ys] >= 0
+            ):
+                transfers.append((send, recv, SIXTH))
     return _apply(f1, transfers)
 
 
-def _stage2_step3(ledger, f2):
-    """Nonnegative level-4 vertices empty into level 3, usually averaged,
-    with a split pattern toward the unique pendant-carrying neighbor."""
-    transfers = []
-    for z in sorted(ledger.level_set(4)):
-        if f2[z] < 0:
-            continue
-        up = ledger.nbrs_at(z, 3)
-        if not up:
-            ledger.flag(f"level-4 vertex {z} has no level-3 neighbor")
-            continue
-        split = _pendant_split(ledger, z, up)
-        if split is not None:
-            for y, frac in split:
-                transfers.append((z, y, f2[z] * frac))
-        else:
-            share = f2[z] / len(up)
-            for y in up:
-                transfers.append((z, y, share))
-    f3 = _apply(f2, transfers)
-    for z in ledger.level_set(4):
-        if f2[z] >= 0 and ledger.nbrs_at(z, 3) and f3[z] != 0:
-            raise RuleConflict(f"level-4 vertex {z} not emptied by stage-two step 3")
-    return f3
-
-
 def _pendant_split(ledger, z, up):
+    """Step 3's split toward the unique pendant-carrying level-3 neighbor:
+    1/2 to it and 1/4 to each other one; None when the pattern does not
+    apply."""
     g = ledger.graph
     if len(up) != 3 or ledger.n_at(z, 4) > 1:
         return None
@@ -512,34 +480,15 @@ def _stage2_step5(ledger, f4):
 
 
 def _stage2_step6(ledger, f5):
-    transfers = []
-    for y1, y2 in _level_one_pairs(ledger, 3):
-        x1 = ledger.nbrs_at(y1, 2)
-        x2 = ledger.nbrs_at(y2, 2)
-        if len(x1) != 1 or len(x2) != 1:
-            continue
-        for a, b, xa, xb in ((y1, y2, x1[0], x2[0]), (y2, y1, x2[0], x1[0])):
-            if f5[xa] >= 0 and f5[xb] < 0 and f5[a] >= SIXTH and f5[b] == 0:
-                transfers.append((a, b, SIXTH))
+    transfers = [(a, b, SIXTH) for a, b, xa, xb in _paired_ones(ledger, 3)
+                 if f5[xa] >= 0 and f5[xb] < 0 and f5[a] >= SIXTH and f5[b] == 0]
     return _apply(f5, transfers)
 
 
 def _stage2_step7(ledger, f6):
     """Level 3 empties into level 2; each level-2 vertex then absorbs the
     negative vertices it can see in levels 3 and 4, when it can afford to."""
-    f7 = dict(f6)
-    # averaged positive sends
-    for y in sorted(ledger.level_set(3)):
-        if f6[y] < 0:
-            continue
-        down = ledger.nbrs_at(y, 2)
-        if not down:
-            ledger.flag(f"level-3 vertex {y} has no level-2 neighbor")
-            continue
-        share = f6[y] / len(down)
-        for x in down:
-            f7[x] += share
-        f7[y] = 0
+    f7 = _empty_level(ledger, f6, 3, 7)
     # debt settlement
     funded = set()
     for x in sorted(ledger.level_set(2)):
@@ -562,10 +511,12 @@ def _stage2_step7(ledger, f6):
 
 
 def stage_two(ledger: ChargeLedger) -> ChargeLedger:
-    gstar = ledger.stages["g5"]
-    f1 = _stage2_step1(ledger, gstar)
+    # step 1: the deepest level empties itself into the level above;
+    # step 3: nonnegative level-4 vertices empty into level 3
+    f1 = _empty_level(ledger, ledger.stages["g5"], 5, 1, _split_exception,
+                      negatives_send=True)
     f2 = _stage2_step2(ledger, f1)
-    f3 = _stage2_step3(ledger, f2)
+    f3 = _empty_level(ledger, f2, 4, 3, _pendant_split)
     f4 = _stage2_step4(ledger, f3)
     f5 = _stage2_step5(ledger, f4)
     f6 = _stage2_step6(ledger, f5)
@@ -714,14 +665,12 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
         raise PreconditionError("discharging audit is defined for 6-cycles")
     if not is_saturated_fast(g, 6):
         raise PreconditionError("input is not C_6-saturated")
-    if 2 * g.edge_count == g.n * (g.n - 1):
-        # complete graphs short-circuit (and dodge the T_2 parity check,
-        # which assumes a proper saturated host around the triangles)
-        n, e = g.n, g.edge_count
-        if n >= 4:
-            return DischargeAudit("delta>=3", n, e,
-                                  2 * e >= 3 * n and _bound_ok(e, n))
-        return DischargeAudit("complete-graph", n, e, _bound_ok(e, n))
+    if g.n <= 3:
+        # K_1..K_3, the only C_6-saturated graphs on at most three vertices,
+        # short-circuit (K_3 would fail the T_2 parity check, which assumes a
+        # proper saturated host around the triangles)
+        return DischargeAudit("complete-graph", g.n, g.edge_count,
+                              _bound_ok(g.edge_count, g.n))
     removed = 0
     ts = t_sets(g)
     if ts.t2:
@@ -735,8 +684,6 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
         ok = 2 * e >= 3 * n and _bound_ok(e, n)
         return DischargeAudit("delta>=3", n, e, ok, reduced_t2=removed)
     if delta == 2 and not good_roots(g):
-        from .saturation import degree_sum_check
-
         ok = degree_sum_check(g) and 2 * e >= 3 * n and _bound_ok(e, n)
         return DischargeAudit("no-good-root", n, e, ok, reduced_t2=removed)
 
@@ -747,8 +694,7 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
     stage_two(ledger)
 
     out = DischargeAudit("full", n, e, False, reduced_t2=removed, ledger=ledger)
-    total = sum(ledger.stages["g"].values(), F(0))
-    out.charge_identity_ok = total + BASE * n == e
+    out.charge_identity_ok = _identity_holds(ledger)
     out.v1_sum = sum((ledger.stages["g"][v] for v in ledger.level_set(1)), F(0))
     out.v1_sum_ok = out.v1_sum == (F(-5, 3) if rc.delta == 1 else F(-2))
     base_outer = ledger.outer_sum("g")

@@ -122,7 +122,7 @@ class Graph:
         return [self.degree(v) for v in range(self.n)]
 
     def is_connected(self):
-        return kernels.is_connected(self.adj, self.n)
+        return kernels.is_connected(self.adj)
 
     def with_edge(self, u, v):
         if self.has_edge(u, v) or u == v:
@@ -336,20 +336,20 @@ def paths_between(g: Graph, u, v, length) -> list:
 
 def find_path(g: Graph, u, v, length, banned=0):
     """Lexicographically least simple u-v path with `length` edges and no
-    inner vertex in `banned`, or None."""
-    p = kernels.least_path(g.adj, u, v, length, banned)
+    inner vertex in `banned`, or None (always None when u == v)."""
+    p = None if u == v else kernels.least_path(g.adj, u, v, length, banned)
     return None if p is None else CyclePath(p, "path")
 
 
 def has_path(g: Graph, u, v, length) -> bool:
-    return kernels.has_path(g.adj, g.n, u, v, length)
+    return kernels.has_path(g.adj, u, v, length)
 
 
 def contains_cycle(g: Graph, k):
     """A witness k-cycle (lexicographically least over edge order), or None."""
     if k < 3 or k > g.n:
         return None
-    if not kernels.has_cycle(g.adj, g.n, k):
+    if not kernels.has_cycle(g.adj, k):
         return None
     for u, v in g.edges():
         p = find_path(g, u, v, k - 1)

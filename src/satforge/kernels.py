@@ -77,7 +77,6 @@ def _extend(adj, masks, avoid, path, left, out):
 
 
 def _search(adj, u, v, length, banned, masks, out):
-    # u == v is allowed here: it asks for a cycle of `length` edges through u.
     if length == 1:
         found = (u, v) if adj[u] >> v & 1 else None
         if found is not None and out is not None:
@@ -90,35 +89,37 @@ def _search(adj, u, v, length, banned, masks, out):
 
 def least_path(adj, u, v, length, banned=0, masks=None):
     """Lexicographically least simple u-v path with exactly `length` edges and
-    no inner vertex in `banned`, as a vertex tuple, or None. `masks` may carry
-    ``reach(adj, v, length, banned)`` precomputed."""
-    if u == v or not 0 < length < len(adj):
+    no inner vertex in `banned`, as a vertex tuple, or None. With u == v it is
+    the least cycle of `length` edges through u, as a closed tuple (u, ..., u).
+    `masks` may carry ``reach(adj, v, length, banned)`` precomputed."""
+    if u == v:
+        if not 3 <= length <= len(adj):
+            return None
+    elif not 0 < length < len(adj):
         return None
     return _search(adj, u, v, length, banned, masks, None)
 
 
 def all_paths(adj, u, v, length, banned=0) -> list:
     """Every simple u-v path with exactly `length` edges and no inner vertex in
-    `banned`, as vertex tuples in lexicographic order."""
+    `banned`, as vertex tuples in lexicographic order; with u == v, every cycle
+    of `length` edges through u, once per direction, as closed tuples."""
     out = []
-    if u != v and 0 < length < len(adj):
+    if (3 <= length <= len(adj)) if u == v else (0 < length < len(adj)):
         _search(adj, u, v, length, banned, None, out)
     return out
 
 
-def has_path(adj, n, u, v, length) -> bool:
-    """True iff a simple path with exactly `length` edges joins u and v."""
-    return least_path(adj, u, v, length) is not None
+def has_path(adj, u, v, length) -> bool:
+    """True iff a simple path with exactly `length` edges joins u != v."""
+    return u != v and least_path(adj, u, v, length) is not None
 
 
-def has_cycle(adj, n, k) -> bool:
+def has_cycle(adj, k) -> bool:
     """True iff the graph contains a cycle with exactly k edges."""
-    if k < 3 or k > n:
-        return False
-    # a k-cycle whose least vertex is s: a closed k-edge walk from s through
-    # vertices above s that repeats no vertex
-    return any(_search(adj, s, s, k, (1 << s) - 1, None, None) is not None
-               for s in range(n - k + 1))
+    # a k-cycle through s whose other vertices all lie above s
+    return any(least_path(adj, s, s, k, (1 << s) - 1) is not None
+               for s in range(len(adj) - k + 1))
 
 
 # saturation_scan's own test, bound here so that a wrapper installed on the
@@ -126,10 +127,11 @@ def has_cycle(adj, n, k) -> bool:
 _has_cycle = has_cycle
 
 
-def saturation_scan(adj, n, k) -> int:
+def saturation_scan(adj, k) -> int:
     """Classify the graph: not C_k-free, C_k-saturated, or missing a witness."""
-    if _has_cycle(adj, n, k):
+    if _has_cycle(adj, k):
         return SAT_NOT_FREE
+    n = len(adj)
     for u in range(n):
         masks = None
         for v in range(u + 1, n):
@@ -142,8 +144,8 @@ def saturation_scan(adj, n, k) -> int:
     return SAT_SATURATED
 
 
-def is_connected(adj, n) -> bool:
-    if n <= 1:
+def is_connected(adj) -> bool:
+    if len(adj) <= 1:
         return True
     seen = 1
     frontier = 1
@@ -155,4 +157,4 @@ def is_connected(adj, n) -> bool:
             nxt |= adj[low.bit_length() - 1]
         frontier = nxt & ~seen
         seen |= nxt
-    return seen == (1 << n) - 1
+    return seen == (1 << len(adj)) - 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import kernels
-from .graph import Graph, CyclePath, GraphError, contains_cycle, find_path, paths_between
+from .graph import Graph, CyclePath, GraphError, contains_cycle, paths_between
 
 
 class PreconditionError(GraphError):
@@ -70,8 +70,8 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
 
 
 def is_saturated_fast(g: Graph, k: int) -> bool:
-    """Witness-free saturation test through the bitset kernel backend."""
-    return kernels.saturation_scan(g.adj, g.n, k) == kernels.SAT_SATURATED
+    """Saturation test that builds no witnesses: the kernels' existence scan."""
+    return kernels.saturation_scan(g.adj, k) == kernels.SAT_SATURATED
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +140,14 @@ class ThetaClassification:
 
 
 def _in_cycle_of_length(g, v, k):
-    nbrs = g.neighbors(v)
-    ban = 1 << v
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if find_path(g, a, b, k - 2, banned=ban) is not None:
-                return True
-    return False
-
-
-def _cycles_through(g, v, k):
-    """k-cycles through v as vertex tuples starting at v (orientations may
-    repeat; callers only inspect each cycle's edge environment)."""
-    cycles = []
-    for x in g.neighbors(v):
-        for p in paths_between(g, x, v, k - 1):
-            cycles.append((v,) + p.vertices[:-1])
-    return cycles
+    return kernels.least_path(g.adj, v, v, k) is not None
 
 
 def _in_chorded_c5(g, v):
     """True iff v lies on a 5-cycle carrying at least one chord."""
-    for cyc in _cycles_through(g, v, 5):
-        chords = 0
-        for i in range(5):
-            for j in range(i + 2, 5):
-                if (i, j) == (0, 4):
-                    continue
-                if g.has_edge(cyc[i], cyc[j]):
-                    chords += 1
-        if chords:
-            return True
-    return False
+    # the chords of a 5-cycle c0..c4 are its diagonals c_i c_{i+2}
+    return any(g.has_edge(cyc[i], cyc[(i + 2) % 5])
+               for cyc in kernels.all_paths(g.adj, v, v, 5) for i in range(5))
 
 
 def theta_classes(g: Graph) -> ThetaClassification:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graph import Graph, GraphError, has_path, write_graph6_file
+from .saturation import is_saturated_fast
 
 MAX_CANON_VERTICES = 16
 
@@ -209,8 +210,6 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
     Runs the levelwise enumeration until the first edge count that admits a
     saturated graph, finishing that level so the class list is complete.
     """
-    from .saturation import is_saturated_fast
-
     if n < 1 or k < 3:
         raise SearchError("need n >= 1 and k >= 3")
     if max_edges is None:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from satforge.construction import build_construction
-from satforge.graph import Graph
+from satforge.graph import Graph, has_path
 from satforge.search import enumerate_saturated
 
 
@@ -41,6 +41,19 @@ def random_connected_graph(rng, n_max=12):
         u, v = rng.sample(range(n), 2)
         edges.add(tuple(sorted((u, v))))
     return Graph.from_edges(n, edges)
+
+
+def c6_saturation_process(rng, n):
+    """Random C_6-saturation process: visit the vertex pairs in shuffled order
+    and add each one unless it would close a 6-cycle. The result is C_6-free
+    and maximal, hence C_6-saturated."""
+    g = Graph(n, [0] * n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if not has_path(g, u, v, 5):
+            g = g.with_edge(u, v)
+    return g
 
 
 @pytest.fixture()

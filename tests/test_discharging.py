@@ -1,9 +1,12 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from satforge.construction import build_construction
 from satforge.discharging import (
+    _four_cycles_through,
     audit,
     charge_identity_holds,
     choose_root,
@@ -16,7 +19,23 @@ from satforge.discharging import (
 )
 from satforge.graph import Graph
 from satforge.saturation import PreconditionError
-from tests.conftest import random_connected_graph
+from tests.conftest import c6_saturation_process, random_connected_graph
+
+
+def brute_four_cycle_diagonals(g, u):
+    """(4-cycle through u, diagonal that is not an edge) pairs: each 4-set
+    holding u splits three ways into diagonals {a, b} and {c, d}, and is a
+    4-cycle a-c-b-d for that split when all four sides are edges."""
+    count = 0
+    for quad in itertools.combinations(range(g.n), 4):
+        if u not in quad:
+            continue
+        a, rest = quad[0], quad[1:]
+        for b in rest:
+            c, d = [x for x in rest if x != b]
+            if all(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
+                count += (not g.has_edge(a, b)) + (not g.has_edge(c, d))
+    return count
 
 
 def _pipeline(g):
@@ -42,6 +61,16 @@ class TestRootChoice:
         rc = choose_root(g)
         assert rc.delta == 1
         assert g.degree(rc.alpha) == 1
+
+    def test_four_cycle_count_pins(self):
+        assert [_four_cycles_through(Graph.cycle(4), u) for u in range(4)] == [2] * 4
+        assert [_four_cycles_through(Graph.complete(4), u) for u in range(4)] == [0] * 4
+
+    def test_four_cycle_count_matches_brute_force(self, rng):
+        for _ in range(40):
+            g = random_connected_graph(rng, n_max=10)
+            for u in range(g.n):
+                assert _four_cycles_through(g, u) == brute_four_cycle_diagonals(g, u)
 
     def test_high_min_degree_rejected(self):
         with pytest.raises(PreconditionError):
@@ -136,14 +165,41 @@ class TestAudit:
         assert a.passed, a.failures
 
     def test_complete_graph_delta3_branch(self):
-        a = audit(Graph.complete(5))
-        assert a.branch == "delta>=3"
-        assert a.passed
+        for n in (4, 5):
+            a = audit(Graph.complete(n))
+            assert a.branch == "delta>=3"
+            assert a.passed
 
     def test_tiny_complete_graphs(self):
         for n in (1, 2, 3):
             a = audit(Graph.complete(n))
+            assert a.branch == "complete-graph"
             assert a.passed
+
+    def test_random_saturation_process(self):
+        # `passed` is not asserted: some of these graphs fail the weak
+        # conditional bound check, an open question about its transcription
+        rng = random.Random(0x6C)
+        for i in range(40):
+            a = audit(c6_saturation_process(rng, 9 + i % 6))
+            assert a.branch in ("full", "no-good-root", "delta>=3")
+            assert a.final_bound_ok
+            if a.branch != "full":
+                continue
+            led = a.ledger
+            g = led.stages["g"]
+            assert sum(g.values(), F(0)) + F(4, 3) * a.n == a.edges
+            v1_sum = sum((g[v] for v in led.level_set(1)), F(0))
+            assert v1_sum == (F(-5, 3) if led.graph.min_degree() == 1 else F(-2))
+            assert led.outer_sum("g5") == led.outer_sum("g")
+            assert led.outer_sum("f7") == led.outer_sum("g")
+            assert a.charge_identity_ok and a.v1_sum_ok
+            assert a.stage1_conserved and a.stage2_conserved
+            # stage-two steps 1, 3 and 7 leave every sender empty
+            f = led.stages
+            assert all(f["f1"][w] == 0 for w in led.level_set(5))
+            assert all(f["f3"][z] == 0 for z in led.level_set(4) if f["f2"][z] >= 0)
+            assert all(f["f7"][y] == 0 for y in led.level_set(3) if f["f6"][y] >= 0)
 
     def test_non_saturated_rejected(self):
         with pytest.raises(PreconditionError):

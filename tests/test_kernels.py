@@ -3,6 +3,7 @@
 The reference enumerates the permutations of candidate inner vertices and keeps
 those that form a path, so it shares no code with the pruned search: witnesses
 must be the exact lexicographic minimum and path lists the exact sorted list.
+Each vertex paired with itself asks for the cycles through it.
 """
 
 import itertools
@@ -15,12 +16,15 @@ import pytest
 
 import satforge
 from satforge import kernels
-from satforge.graph import Graph, find_path, paths_between
+from satforge.graph import Graph, GraphError, find_path, paths_between
 from satforge.saturation import check_saturated
 
 
 def brute_paths(g, u, v, length):
-    """Every simple u-v path with exactly `length` edges, sorted."""
+    """Every simple u-v path with exactly `length` edges, sorted; with u == v,
+    every cycle of `length` >= 3 edges through u as a closed tuple."""
+    if u == v and length < 3:
+        return []
     others = [w for w in range(g.n) if w not in (u, v)]
     out = []
     for inner in itertools.permutations(others, length - 1):
@@ -63,10 +67,11 @@ LENGTHS = range(1, 7)
 
 @pytest.fixture(scope="module")
 def path_table():
-    """(graph index, u, v, length) -> brute-force paths, for every ordered pair."""
+    """(graph index, u, v, length) -> brute-force paths, for every ordered pair
+    and for u == v (cycles through u)."""
     table = {}
     for i, (g, _) in enumerate(GRAPHS):
-        for u, v in itertools.combinations(range(g.n), 2):
+        for u, v in itertools.combinations_with_replacement(range(g.n), 2):
             for length in LENGTHS:
                 ps = brute_paths(g, u, v, length)
                 table[i, u, v, length] = ps
@@ -85,19 +90,20 @@ def test_scan_constants_distinct():
 
 def test_python_path_and_cycle_basics():
     g = Graph.cycle(6)
-    assert kernels.has_path(g.adj, 6, 0, 3, 3)
-    assert not kernels.has_path(g.adj, 6, 0, 3, 4)
-    assert not kernels.has_path(g.adj, 6, 0, 0, 6)
-    assert kernels.has_cycle(g.adj, 6, 6)
-    assert not kernels.has_cycle(g.adj, 6, 5)
+    assert kernels.has_path(g.adj, 0, 3, 3)
+    assert not kernels.has_path(g.adj, 0, 3, 4)
+    assert not kernels.has_path(g.adj, 0, 0, 6)
+    assert kernels.has_cycle(g.adj, 6)
+    assert not kernels.has_cycle(g.adj, 5)
+    assert kernels.least_path(g.adj, 0, 0, 6) == (0, 1, 2, 3, 4, 5, 0)
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1) == (0, 5, 4, 3)
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1 | 1 << 5) is None
 
 
 def test_connectivity():
-    assert kernels.is_connected(Graph.path(5).adj, 5)
+    assert kernels.is_connected(Graph.path(5).adj)
     split = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert not kernels.is_connected(split.adj, 4)
+    assert not kernels.is_connected(split.adj)
 
 
 def test_reach_masks_are_walk_endpoints():
@@ -109,34 +115,38 @@ def test_reach_masks_are_walk_endpoints():
 
 def test_least_path_matches_brute_force(path_table):
     for i, (g, banned) in enumerate(GRAPHS):
-        for u, v in itertools.permutations(range(g.n), 2):
+        for u, v in itertools.product(range(g.n), repeat=2):
             for length in LENGTHS:
                 ps = path_table[i, u, v, length]
                 assert kernels.least_path(g.adj, u, v, length) == min(ps, default=None)
                 want = min(avoiding(ps, banned), default=None)
                 assert kernels.least_path(g.adj, u, v, length, banned) == want
                 got = find_path(g, u, v, length, banned=banned)
-                assert (got and got.vertices) == want
+                assert (got and got.vertices) == (want if u != v else None)
 
 
 def test_paths_between_matches_brute_force(path_table):
     for i, (g, banned) in enumerate(GRAPHS):
-        for u, v in itertools.permutations(range(g.n), 2):
+        for u, v in itertools.product(range(g.n), repeat=2):
             for length in LENGTHS:
                 ps = path_table[i, u, v, length]
-                assert [p.vertices for p in paths_between(g, u, v, length)] == ps
+                if u == v:
+                    with pytest.raises(GraphError):
+                        paths_between(g, u, v, length)
+                else:
+                    assert [p.vertices for p in paths_between(g, u, v, length)] == ps
                 assert kernels.all_paths(g.adj, u, v, length, banned) == avoiding(ps, banned)
 
 
 def test_existence_tests_match_brute_force(path_table):
     for i, (g, _) in enumerate(GRAPHS):
-        for u, v in itertools.permutations(range(g.n), 2):
+        for u, v in itertools.product(range(g.n), repeat=2):
             for length in LENGTHS:
-                assert kernels.has_path(g.adj, g.n, u, v, length) == bool(
-                    path_table[i, u, v, length])
+                assert kernels.has_path(g.adj, u, v, length) == (
+                    u != v and bool(path_table[i, u, v, length]))
         cycles = {k: brute_has_cycle(g, k) for k in range(3, 9)}
         for k, want in cycles.items():
-            assert kernels.has_cycle(g.adj, g.n, k) == want
+            assert kernels.has_cycle(g.adj, k) == want
         for k in range(3, 8):
             if cycles[k]:
                 want = kernels.SAT_NOT_FREE
@@ -144,15 +154,15 @@ def test_existence_tests_match_brute_force(path_table):
                 want = kernels.SAT_SATURATED
             else:
                 want = kernels.SAT_MISSING_WITNESS
-            assert kernels.saturation_scan(g.adj, g.n, k) == want
+            assert kernels.saturation_scan(g.adj, k) == want
 
 
 def test_scan_classes():
-    assert kernels.saturation_scan(Graph.cycle(6).adj, 6, 6) == kernels.SAT_NOT_FREE
-    assert kernels.saturation_scan(Graph.path(6).adj, 6, 6) == (
+    assert kernels.saturation_scan(Graph.cycle(6).adj, 6) == kernels.SAT_NOT_FREE
+    assert kernels.saturation_scan(Graph.path(6).adj, 6) == (
         kernels.SAT_MISSING_WITNESS
     )
-    assert kernels.saturation_scan(Graph.complete(5).adj, 5, 6) == (
+    assert kernels.saturation_scan(Graph.complete(5).adj, 6) == (
         kernels.SAT_SATURATED
     )
 
