@@ -27,6 +27,11 @@ class LevelError(GraphError):
     """BFS layering violated the requested level budget or connectivity."""
 
 
+def _check_pair(n, u, v):
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"vertex pair ({u}, {v}) outside 0..{n - 1}")
+
+
 def _bits(mask):
     while mask:
         low = mask & -mask
@@ -70,6 +75,7 @@ class Graph:
     def from_edges(cls, n, edges):
         rows = [0] * n
         for u, v in edges:
+            _check_pair(n, u, v)
             if u == v:
                 raise GraphError(f"self-loop {u}")
             rows[u] |= 1 << v
@@ -102,6 +108,7 @@ class Graph:
         return list(_bits(self.adj[v]))
 
     def has_edge(self, u, v):
+        _check_pair(self.n, u, v)
         return bool(self.adj[u] >> v & 1)
 
     def edges(self):

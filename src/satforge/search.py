@@ -1,10 +1,17 @@
 """Exhaustive minimum-saturation search.
 
-Canonical labeling by individualization-refinement with a twin-cell shortcut,
-and a levelwise edge-augmentation enumerator: level m holds one canonical
-representative per isomorphism class of C_k-free graphs with m edges, built
-by augmenting level m-1. Saturation is tested from the best known lower
-bound upward, so the first level producing a saturated graph is sat(n, C_k).
+Canonical labeling by individualization-refinement on adjacency bitmasks,
+with a twin-cell shortcut.  Besides the canonical code and ordering it
+returns automorphisms met on the way: the swaps of twin-cell members and the
+maps between leaves with equal codes.  A levelwise edge-augmentation
+enumerator builds level m, one canonical representative per isomorphism
+class of C_k-free graphs with m edges, from level m-1.  Each representative
+keeps its automorphisms and is augmented by only the least non-edge of each
+orbit they generate on its non-edges (orbit pruning, after McKay,
+"Isomorph-free exhaustive generation", 1998); children are still deduped by
+canonical code, so a partial group costs speed, never a class.  Saturation is
+tested from the best known lower bound upward, so the first level producing
+a saturated graph is sat(n, C_k).
 """
 
 from __future__ import annotations
@@ -31,105 +38,164 @@ class BudgetExhausted(SearchError):
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _refine(g, cells):
-    """Stable equitable refinement of an ordered partition by neighbor-cell
-    signatures."""
-    while True:
-        cell_id = {}
-        for i, c in enumerate(cells):
-            for v in c:
-                cell_id[v] = i
-        out = []
-        changed = False
-        for c in cells:
-            if len(c) == 1:
-                out.append(c)
+def _mask(vertices):
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _refine(adj, cells, masks, splitters):
+    """Stable equitable refinement of an ordered partition, in place: `cells`
+    are lists of vertices and `masks` their bitmasks.
+
+    Each pass splits every cell by its members' neighbor counts in the cells
+    of the partition the pass started from, `(adj[v] & mask).bit_count()`:
+    groups in descending order of that count vector, members in their old
+    order.  Every cell lies inside one degree class, so two members' count
+    vectors have the same sum, and descending count vectors order them
+    exactly as ascending sorted tuples of neighbor cell indices would.
+
+    `splitters` are the masks of the cells that the last split created, in
+    partition order, less the last group of each split cell.  Members of one
+    cell agree on every other count (the cell they came from, and the last
+    group, follow from the rest), so only these counts can order them.
+    """
+    while splitters:
+        created = []
+        splits = []
+        for i, cell in enumerate(cells):
+            if len(cell) == 1:
                 continue
             groups = {}
-            for v in c:
-                sig = tuple(sorted(cell_id[w] for w in g.neighbors(v)))
-                groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for key in sorted(groups):
-                out.append(groups[key])
-        cells = out
-        if not changed:
-            return cells
+            if len(splitters) == 1:  # as after individualizing one vertex
+                m = splitters[0]
+                for v in cell:
+                    groups.setdefault((adj[v] & m).bit_count(), []).append(v)
+            else:
+                for v in cell:
+                    row = adj[v]
+                    sig = tuple([(row & m).bit_count() for m in splitters])
+                    groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                continue
+            parts = [groups[sig] for sig in sorted(groups, reverse=True)]
+            part_masks = [_mask(part) for part in parts]
+            created.extend(part_masks[:-1])
+            splits.append((i, parts, part_masks))
+        if not splits:
+            break
+        for i, parts, part_masks in reversed(splits):
+            cells[i:i + 1] = parts
+            masks[i:i + 1] = part_masks
+        splitters = created
 
 
-def _is_twin_cell(g, cell):
+def _is_twin_cell(adj, cell, mask):
     """All members share one external neighborhood and induce an empty or
     complete graph; any ordering of the cell is then automorphic."""
-    mask = 0
+    first = adj[cell[0]]
+    ext = first & ~mask
+    empty = not first & mask
     for v in cell:
-        mask |= 1 << v
-    ext = {g.adj[v] & ~mask for v in cell}
-    if len(ext) != 1:
-        return False
-    inner = [g.adj[v] & mask for v in cell]
-    if all(row == 0 for row in inner):
-        return True
-    return all(row == mask ^ (1 << v) for v, row in zip(cell, inner))
+        row = adj[v]
+        if row & ~mask != ext or row & mask != (0 if empty else mask ^ 1 << v):
+            return False
+    return True
 
 
-def _leaf_code(g, cells):
-    code = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            code <<= 1
-            vj = cells[j][0]
-            if g.adj[cells[i][0]] >> vj & 1:
-                code |= 1
-    return code
+class _Labeler:
+    """Best leaf and automorphisms found by one individualization-refinement
+    search.  A leaf's code packs the permuted upper triangle column by
+    column, row 0 as the high bit of each column, as graph6 orders it."""
 
+    def __init__(self, g):
+        self.adj = g.adj
+        self.n = g.n
+        self.code = None
+        self.order = None
+        self.generators = {}  # permutation bytes -> None, in discovery order
 
-def _canon_search(g, cells, best):
-    cells = _refine(g, cells)
-    split_at = -1
-    for idx, c in enumerate(cells):
-        if len(c) > 1:
-            split_at = idx
-            break
-    if split_at < 0:
-        code = _leaf_code(g, cells)
-        if best[0] is None or code < best[0]:
-            best[0] = code
-            best[1] = [c[0] for c in cells]
-        return
-    cell = cells[split_at]
-    if _is_twin_cell(g, cell):
-        fixed = [[v] for v in sorted(cell)]
-        _canon_search(g, cells[:split_at] + fixed + cells[split_at + 1:], best)
-        return
-    for v in sorted(cell):
-        rest = [w for w in cell if w != v]
-        _canon_search(g, cells[:split_at] + [[v], rest] + cells[split_at + 1:], best)
+    def leaf(self, order):
+        adj = self.adj
+        rows = [adj[v] for v in order]
+        code = 0
+        for j in range(1, self.n):
+            vj = order[j]
+            for row in rows[:j]:
+                code = code << 1 | row >> vj & 1
+        if self.code is None or code < self.code:
+            self.code, self.order = code, order
+        elif code == self.code:
+            # this leaf and the best give one labeled graph, so mapping
+            # order[i] to self.order[i] is an automorphism
+            perm = bytearray(self.n)
+            for v, w in zip(order, self.order):
+                perm[v] = w
+            self.generators[bytes(perm)] = None
+
+    def twins(self, cell):
+        """Swapping two members of a twin cell is an automorphism."""
+        for a, b in zip(cell, cell[1:]):
+            perm = bytearray(range(self.n))
+            perm[a], perm[b] = b, a
+            self.generators[bytes(perm)] = None
+
+    def search(self, cells, masks, splitters):
+        """Refine, then record a leaf or branch on the first non-singleton
+        cell.  The partition was equitable before the cells split off here,
+        so only those can split others (see `_refine`)."""
+        _refine(self.adj, cells, masks, splitters)
+        for split_at, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            self.leaf([c[0] for c in cells])
+            return
+        head, tail = cells[:split_at], cells[split_at + 1:]
+        mhead, mtail = masks[:split_at], masks[split_at + 1:]
+        cell = sorted(cell)
+        if _is_twin_cell(self.adj, cell, masks[split_at]):
+            self.twins(cell)
+            fixed = [1 << v for v in cell]
+            self.search(head + [[v] for v in cell] + tail,
+                        mhead + fixed + mtail, fixed[:-1])
+            return
+        for v in cell:
+            rest = [w for w in cells[split_at] if w != v]
+            self.search(head + [[v], rest] + tail,
+                        mhead + [1 << v, masks[split_at] ^ 1 << v] + mtail,
+                        [1 << v])
 
 
 def canonical_form(g: Graph):
-    """(code, ordering): `code` is an isomorphism-invariant integer packing of
-    the canonical upper triangle, `ordering[i]` the vertex placed at canonical
-    position i."""
+    """(code, ordering, generators): `code` is an isomorphism-invariant
+    integer packing of the canonical upper triangle, `ordering[i]` the vertex
+    placed at canonical position i, and `generators` automorphisms of g, each
+    an n-byte permutation (vertex v maps to perm[v]).  They are the swaps of
+    adjacent members of every twin cell fixed and the maps between leaves
+    with equal codes; they may generate only part of the automorphism group.
+    """
     if g.n > MAX_CANON_VERTICES:
         raise SearchError(f"canonical labeling bounded to n <= {MAX_CANON_VERTICES}")
     by_degree = {}
-    for v in range(g.n):
-        by_degree.setdefault(g.degree(v), []).append(v)
+    for v, row in enumerate(g.adj):
+        by_degree.setdefault(row.bit_count(), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]
-    best = [None, None]
-    _canon_search(g, cells, best)
-    return best[0], best[1]
+    masks = [_mask(cell) for cell in cells]
+    lab = _Labeler(g)
+    lab.search(cells, masks, masks[:-1])  # degree classes split V
+    return lab.code, lab.order, list(lab.generators)
 
 
 def canonical_key(g: Graph):
-    code, _ = canonical_form(g)
+    code, _, _ = canonical_form(g)
     return (g.n, code)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy; equal across an isomorphism class."""
-    _, ordering = canonical_form(g)
+    _, ordering, _ = canonical_form(g)
     perm = [0] * g.n
     for i, v in enumerate(ordering):
         perm[v] = i
@@ -157,6 +223,9 @@ def saturation_lower_bound(n: int, k: int) -> int:
 
 @dataclass
 class SearchResult:
+    """Outcome of one `enumerate_saturated` run.  `nodes` counts the orbit
+    representatives tried, one budget node each (see `_Budget`)."""
+
     n: int
     k: int
     min_edges: int | None
@@ -172,6 +241,10 @@ class SearchResult:
 
 
 class _Budget:
+    """Node and wall-clock limits.  One node is one orbit representative
+    tried: a non-edge of a parent that is least in its orbit, tested for a
+    k-cycle and, if it closes none, augmented and labeled."""
+
     def __init__(self, nodes, secs):
         self.nodes_left = nodes
         self.deadline = time.monotonic() + secs if secs is not None else None
@@ -187,19 +260,52 @@ class _Budget:
             raise BudgetExhausted("time budget exhausted")
 
 
+def _orbit_leaders(g, generators):
+    """The non-edges of g that are least, in `non_edges()` order, in their
+    orbit under the group the packed n-byte permutations generate."""
+    non_edges = g.non_edges()
+    if not generators:
+        return non_edges
+    n = g.n
+    perms = [generators[s:s + n] for s in range(0, len(generators), n)]
+    leaders, seen = [], set()
+    for e in non_edges:
+        if e in seen:
+            continue
+        leaders.append(e)  # the first member of its orbit met in order
+        seen.add(e)
+        stack = [e]
+        while stack:
+            u, v = stack.pop()
+            for perm in perms:
+                a, b = perm[u], perm[v]
+                image = (a, b) if a < b else (b, a)
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+    return leaders
+
+
 def _next_level(level, k, budget):
-    """Augment every representative by one C_k-preserving edge; dedup by
-    canonical key."""
+    """Augment every representative by one C_k-preserving edge, trying one
+    non-edge per orbit of the representative's known automorphisms; dedup
+    by canonical code.  A level maps canonical code -> (first graph met in
+    the class, its automorphisms packed as n-byte permutations).
+
+    Two non-edges in one orbit give isomorphic children and pass or fail the
+    C_k test together, and the least of the orbit is tried first, so the
+    first child met in each class, and with it the level, is the same as
+    when every non-edge is tried."""
     out = {}
-    for g in level.values():
-        for u, v in g.non_edges():
+    for g, generators in level.values():
+        for u, v in _orbit_leaders(g, generators):
             budget.tick()
             if k <= g.n and has_path(g, u, v, k - 1):
                 continue  # the new edge would close a k-cycle
             child = g.with_edge(u, v)
-            key = canonical_key(child)
-            if key not in out:
-                out[key] = child
+            code, _, child_generators = canonical_form(child)
+            if code not in out:
+                out[code] = (child, b"".join(child_generators))
     return out
 
 
@@ -218,12 +324,14 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
     budget = _Budget(budget_nodes, budget_secs)
     result = SearchResult(n, k, None)
     m_low = saturation_lower_bound(n, k)
-    level = {canonical_key(Graph(n, [0] * n)): Graph(n, [0] * n)}
+    empty = Graph(n, [0] * n)
+    code, _, generators = canonical_form(empty)
+    level = {code: (empty, b"".join(generators))}
     result.level_sizes[0] = 1
     try:
-        if n * (n - 1) // 2 == 0 and is_saturated_fast(Graph(n, [0] * n), k):
+        if n * (n - 1) // 2 == 0 and is_saturated_fast(empty, k):
             result.min_edges = 0
-            result.graphs = list(level.values())
+            result.graphs = [empty]
         m = 0
         while result.min_edges is None and m < max_edges:
             m += 1
@@ -233,7 +341,7 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
                 result.status = "not-found"
                 break
             if m >= m_low:
-                hits = [g for g in level.values() if is_saturated_fast(g, k)]
+                hits = [g for g, _ in level.values() if is_saturated_fast(g, k)]
                 if hits:
                     result.min_edges = m
                     result.graphs = [canonical_graph(g) for g in hits]

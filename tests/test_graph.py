@@ -38,8 +38,10 @@ class TestBasics:
         assert g.neighbors(1) == [0, 2]
 
     def test_rejects_self_loop(self):
-        with pytest.raises(GraphError):
-            Graph.from_edges(2, [(0, 0)])
+        # an edge with an endpoint outside 0..n-1 is rejected the same way
+        for edges in ([(0, 0)], [(0, 2)], [(-1, 1)], [(1, -2)], [(0, 1), (5, 0)]):
+            with pytest.raises(GraphError):
+                Graph.from_edges(2, edges)
 
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(GraphError):
@@ -55,6 +57,13 @@ class TestBasics:
         g2 = g.with_edge(0, 2)
         assert g2.edge_count == 3 and g.edge_count == 2
         assert g2.without_edge(0, 2) == g
+        g = Graph.path(5)
+        for call, u, v in ((g.with_edge, 0, 7), (g.with_edge, -5, 2),
+                           (g.with_edge, 0, 5), (g.without_edge, -1, 3),
+                           (g.without_edge, 4, 5), (g.has_edge, -1, 3),
+                           (g.has_edge, 0, 5)):
+            with pytest.raises(GraphError, match="outside 0..4"):
+                call(u, v)
 
     def test_named_families(self):
         assert Graph.complete(5).edge_count == 10

@@ -1,12 +1,15 @@
 import itertools
+from collections import Counter
 
 import networkx as nx
 import pytest
 
-from satforge.graph import Graph, from_graph6, read_graph6_file
+from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6
 from satforge.search import (
     SearchError,
+    _orbit_leaders,
     are_isomorphic,
+    canonical_form,
     canonical_graph,
     canonical_key,
     enumerate_saturated,
@@ -15,6 +18,51 @@ from satforge.search import (
     save_result,
     summary_table,
 )
+
+
+# canonical graph6 of the five sat(9, C_6) classes and of symmetric inputs;
+# any change to the labeling moves them
+SAT_9_6 = ["H`?LASV", "Ho?Aowf", "H_hP?cN", "H_?@|`L", "HQ`?WWr"]
+
+
+def _petersen():
+    return Graph.from_edges(10, list(nx.petersen_graph().edges()))
+
+
+def _cube():
+    return Graph.from_edges(8, [(u, u | 1 << b) for u in range(8) for b in range(3)
+                                if not u >> b & 1])
+
+
+SYMMETRIC = {
+    "star12": (lambda: Graph.star(12), "K?????????^~"),
+    "K9": (lambda: Graph.complete(9), "H~~~~~~"),
+    "empty12": (lambda: Graph(12, [0] * 12), "K???????????"),
+    "C12": (lambda: Graph.cycle(12), "KqGOOGA?O@?B"),
+    "P10": (lambda: Graph.path(10), "IQGOOGA?W"),
+    "petersen": (_petersen, "IsP@PGXD_"),
+    "K33": (lambda: Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+            "Es\\o"),
+    "cube": (_cube, "GsXP_["),
+}
+
+
+def scrambled(g):
+    """A fixed relabeling: reflect, then rotate by three."""
+    return g.relabel([(g.n + 2 - v) % g.n for v in range(g.n)])
+
+
+def has_cycle_of_length(g, k):
+    """Plain DFS over neighbor lists, rooted at the cycle's least vertex."""
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+
+    def extend(path):
+        if len(path) == k:
+            return path[0] in nbrs[path[-1]]
+        return any(extend(path + [w]) for w in nbrs[path[-1]]
+                   if w > path[0] and w not in path)
+
+    return any(extend([s]) for s in range(g.n))
 
 
 def brute_isomorphic(a, b):
@@ -62,6 +110,42 @@ class TestCanonical:
                 g.relabel(list(reversed(range(g.n))))
             )
 
+    def test_generators_are_automorphisms(self, rng):
+        from tests.conftest import random_connected_graph
+
+        graphs = [random_connected_graph(rng, n_max=12) for _ in range(60)]
+        graphs += [make() for make, _ in SYMMETRIC.values()]
+        found = 0
+        for g in graphs:
+            _, _, generators = canonical_form(g)
+            for perm in generators:
+                assert sorted(perm) == list(range(g.n)) and list(perm) != list(range(g.n))
+                assert g.relabel(perm) == g
+            found += len(generators)
+        assert found > len(SYMMETRIC)
+
+    def test_generators_reach_vertex_transitive_orbits(self):
+        for name in ("K9", "empty12", "C12", "petersen", "K33", "cube"):
+            g = SYMMETRIC[name][0]()
+            _, _, generators = canonical_form(g)
+            orbit, frontier = {0}, [0]
+            while frontier:
+                v = frontier.pop()
+                for perm in generators:
+                    if perm[v] not in orbit:
+                        orbit.add(perm[v])
+                        frontier.append(perm[v])
+            assert orbit == set(range(g.n)), name
+
+    def test_pinned_canonical_graph6(self, extremal9):
+        assert [to_graph6(g) for g in extremal9.graphs] == SAT_9_6
+        for code in SAT_9_6:
+            assert to_graph6(canonical_graph(scrambled(from_graph6(code)))) == code
+        for name, (make, code) in SYMMETRIC.items():
+            g = make()
+            assert to_graph6(canonical_graph(g)) == code, name
+            assert to_graph6(canonical_graph(scrambled(g))) == code, name
+
     def test_size_cap(self):
         with pytest.raises(SearchError):
             canonical_key(Graph.path(17))
@@ -107,6 +191,38 @@ class TestEnumeration:
         res = enumerate_saturated(7, 4)
         for g in res.graphs:
             assert check_saturated(g, 4).saturated
+
+    def test_one_non_edge_per_orbit(self):
+        expected = {
+            "empty12": [(0, 1)],
+            "star12": [(1, 2)],
+            "C12": [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6)],
+            "P10": [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
+                    (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8),
+                    (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6)],
+            "petersen": [(0, 2)],
+            "K33": [(0, 1)],
+            "K9": [],
+        }
+        for name, leaders in expected.items():
+            g = SYMMETRIC[name][0]()
+            _, _, generators = canonical_form(g)
+            assert _orbit_leaders(g, b"".join(generators)) == leaders, name
+            assert _orbit_leaders(g, b"") == g.non_edges()
+
+    def test_level_sizes_count_every_ck_free_graph(self):
+        # orbit pruning must not lose a class: each level holds exactly the
+        # C_k-free graphs of the atlas with that many edges
+        atlas = [h for h in nx.graph_atlas_g() if 3 <= h.number_of_nodes() <= 7]
+        graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in atlas]
+        for k in range(3, 7):
+            free = Counter((g.n, g.edge_count) for g in graphs
+                           if not has_cycle_of_length(g, k))
+            for n in range(3, 8):
+                res = enumerate_saturated(n, k)
+                assert res.status == "complete"
+                for m, size in res.level_sizes.items():
+                    assert size == free[n, m], (n, k, m)
 
 
 class TestPersistence:
