@@ -66,6 +66,16 @@ class Graph:
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "edge_count", deg_sum // 2)
 
+    @classmethod
+    def _trusted(cls, n, adj, edge_count):
+        """A graph from rows already known to be valid (a checked graph with
+        one edge added or removed), without `__init__`'s checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(adj))
+        object.__setattr__(g, "edge_count", edge_count)
+        return g
+
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
 
@@ -102,9 +112,13 @@ class Graph:
     # -- basic accessors ---------------------------------------------------
 
     def degree(self, v):
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
         return self.adj[v].bit_count()
 
     def neighbors(self, v):
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
         return list(_bits(self.adj[v]))
 
     def has_edge(self, u, v):
@@ -123,10 +137,10 @@ class Graph:
         return out
 
     def min_degree(self):
-        return min(self.degree(v) for v in range(self.n))
+        return min(self.degrees())
 
     def degrees(self):
-        return [self.degree(v) for v in range(self.n)]
+        return [row.bit_count() for row in self.adj]
 
     def is_connected(self):
         return kernels.is_connected(self.adj)
@@ -137,7 +151,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows, self.edge_count + 1)
 
     def without_edge(self, u, v):
         if not self.has_edge(u, v):
@@ -145,7 +159,7 @@ class Graph:
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows, self.edge_count - 1)
 
     def delete_vertices(self, doomed):
         """Induced subgraph on the complement of `doomed`, vertices renumbered
@@ -165,6 +179,8 @@ class Graph:
         return Graph.from_edges(self.n, edges)
 
     def distances_from(self, root):
+        if not 0 <= root < self.n:
+            raise GraphError(f"vertex {root} outside 0..{self.n - 1}")
         dist = [-1] * self.n
         dist[root] = 0
         frontier = 1 << root

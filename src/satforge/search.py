@@ -7,11 +7,13 @@ maps between leaves with equal codes.  A levelwise edge-augmentation
 enumerator builds level m, one canonical representative per isomorphism
 class of C_k-free graphs with m edges, from level m-1.  Each representative
 keeps its automorphisms and is augmented by only the least non-edge of each
-orbit they generate on its non-edges (orbit pruning, after McKay,
-"Isomorph-free exhaustive generation", 1998); children are still deduped by
-canonical code, so a partial group costs speed, never a class.  Saturation is
-tested from the best known lower bound upward, so the first level producing
-a saturated graph is sat(n, C_k).
+orbit they generate on its non-edges (orbit pruning).  A child is labeled
+only if its new edge has the largest degree sum in it, the first test of
+McKay's canonical augmentation ("Isomorph-free exhaustive generation",
+1998), which needs no labeling.  Children are still deduped by canonical
+code, so a partial group costs speed, never a class.  Saturation is tested
+from the best known lower bound upward, so the first level producing a
+saturated graph is sat(n, C_k).
 """
 
 from __future__ import annotations
@@ -223,8 +225,11 @@ def saturation_lower_bound(n: int, k: int) -> int:
 
 @dataclass
 class SearchResult:
-    """Outcome of one `enumerate_saturated` run.  `nodes` counts the orbit
-    representatives tried, one budget node each (see `_Budget`)."""
+    """Outcome of one `enumerate_saturated` run.  `graphs` are the canonical
+    representatives in ascending canonical code, which for graph6 output is
+    ascending string order (the code packs the bits in graph6 order); saved
+    `.g6` files keep that order.  `nodes` counts the orbit representatives
+    tried, one budget node each (see `_Budget`)."""
 
     n: int
     k: int
@@ -242,8 +247,9 @@ class SearchResult:
 
 class _Budget:
     """Node and wall-clock limits.  One node is one orbit representative
-    tried: a non-edge of a parent that is least in its orbit, tested for a
-    k-cycle and, if it closes none, augmented and labeled."""
+    tried: a non-edge of a parent that is least in its orbit, put to the
+    degree-sum test and, if it passes, to the k-cycle test, and if it closes
+    no k-cycle, augmented and labeled."""
 
     def __init__(self, nodes, secs):
         self.nodes_left = nodes
@@ -286,20 +292,50 @@ def _orbit_leaders(g, generators):
     return leaders
 
 
-def _next_level(level, k, budget):
-    """Augment every representative by one C_k-preserving edge, trying one
-    non-edge per orbit of the representative's known automorphisms; dedup
-    by canonical code.  A level maps canonical code -> (first graph met in
-    the class, its automorphisms packed as n-byte permutations).
+def _top_degree_sum(deg, edges, u, v):
+    """Whether the new edge uv has the largest degree sum in G+uv: with d'
+    the degrees of G+uv, d'(u) + d'(v) >= d'(x) + d'(y) for every edge xy.
+    `deg` are the degrees of G and `edges` its edges as (x, y) pairs."""
+    top = deg[u] + deg[v] + 2
+    for x, y in edges:
+        # uv is not an edge of G, so xy gains at most one from the new edge
+        if deg[x] + deg[y] + (x == u or x == v or y == u or y == v) > top:
+            return False
+    return True
 
-    Two non-edges in one orbit give isomorphic children and pass or fail the
-    C_k test together, and the least of the orbit is tried first, so the
-    first child met in each class, and with it the level, is the same as
-    when every non-edge is tried."""
+
+def _next_level(level, k, budget):
+    """Augment every representative by one C_k-preserving edge; dedup by
+    canonical code.  A level maps canonical code -> (first graph met in the
+    class, its automorphisms packed as n-byte permutations).
+
+    A parent G tries one non-edge per orbit of its known automorphisms, the
+    least.  A child G+uv is kept only if uv has the largest degree sum in
+    G+uv (`_top_degree_sum`), the cheap first test of McKay's canonical
+    augmentation, which needs no labeling; only then is it tested for a
+    k-cycle, built and labeled.  No class is lost, even when the generators
+    give only part of Aut(G):
+
+    1. Take any C_k-free class C with m edges, and let d be an edge of C
+       with the largest degree sum.
+    2. C - d is C_k-free, so by induction level m-1 holds a representative
+       P with an isomorphism phi: C - d -> P.
+    3. A product h of P's generators maps phi(d) to the orbit leader e of
+       phi(d), so h is an automorphism of P with h(phi(d)) = e.
+    4. Then h.phi maps C onto P + e and d onto e.  Degree sums are
+       invariant, so e passes the prefilter, and P + e, being isomorphic to
+       C, passes the C_k test.
+
+    Which child is met first in a class depends on the order of the
+    parents and their non-edges, so only the codes of a level are fixed."""
     out = {}
     for g, generators in level.values():
+        deg = g.degrees()
+        edges = g.edges()
         for u, v in _orbit_leaders(g, generators):
             budget.tick()
+            if not _top_degree_sum(deg, edges, u, v):
+                continue  # uv cannot be the canonical deletion of G+uv
             if k <= g.n and has_path(g, u, v, k - 1):
                 continue  # the new edge would close a k-cycle
             child = g.with_edge(u, v)
@@ -341,7 +377,8 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
                 result.status = "not-found"
                 break
             if m >= m_low:
-                hits = [g for g, _ in level.values() if is_saturated_fast(g, k)]
+                hits = [g for _, (g, _) in sorted(level.items())
+                        if is_saturated_fast(g, k)]
                 if hits:
                     result.min_edges = m
                     result.graphs = [canonical_graph(g) for g in hits]

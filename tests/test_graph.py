@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -64,6 +65,29 @@ class TestBasics:
                            (g.has_edge, 0, 5)):
             with pytest.raises(GraphError, match="outside 0..4"):
                 call(u, v)
+
+    def test_vertex_range_errors(self):
+        g = Graph.path(5)
+        for call in (g.degree, g.neighbors, g.distances_from):
+            for v in (-1, 5, 7):
+                with pytest.raises(GraphError, match="outside 0..4"):
+                    call(v)
+
+    def test_children_equal_validated_graphs(self):
+        # with_edge/without_edge skip __init__'s checks; their results must
+        # equal the same rows built through the validating constructor
+        rng = random.Random(0xED6E)
+        for _ in range(40):
+            n = rng.randint(2, 12)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.4])
+            for u, v in pairs:
+                child = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
+                checked = Graph(n, list(child.adj))
+                assert child == checked and hash(child) == hash(checked)
+                assert isinstance(child.adj, tuple)
+                assert child.edge_count == checked.edge_count == len(child.edges())
+                assert abs(child.edge_count - g.edge_count) == 1
 
     def test_named_families(self):
         assert Graph.complete(5).edge_count == 10

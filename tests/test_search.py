@@ -4,10 +4,13 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6
+from satforge.graph import Graph, from_graph6, has_path, read_graph6_file, to_graph6
 from satforge.search import (
     SearchError,
+    _Budget,
+    _next_level,
     _orbit_leaders,
+    _top_degree_sum,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -20,9 +23,9 @@ from satforge.search import (
 )
 
 
-# canonical graph6 of the five sat(9, C_6) classes and of symmetric inputs;
-# any change to the labeling moves them
-SAT_9_6 = ["H`?LASV", "Ho?Aowf", "H_hP?cN", "H_?@|`L", "HQ`?WWr"]
+# canonical graph6 of the five sat(9, C_6) classes, in canonical-code order,
+# and of symmetric inputs; any change to the labeling moves them
+SAT_9_6 = ["HQ`?WWr", "H_?@|`L", "H_hP?cN", "H`?LASV", "Ho?Aowf"]
 
 
 def _petersen():
@@ -223,6 +226,58 @@ class TestEnumeration:
                 assert res.status == "complete"
                 for m, size in res.level_sizes.items():
                     assert size == free[n, m], (n, k, m)
+
+
+def label_every_leader(level, k):
+    """One augmentation level without the degree-sum prefilter: every orbit
+    leader that closes no k-cycle is labeled."""
+    out = {}
+    for g, generators in level.values():
+        for u, v in _orbit_leaders(g, generators):
+            if k <= g.n and has_path(g, u, v, k - 1):
+                continue
+            child = g.with_edge(u, v)
+            code, _, child_generators = canonical_form(child)
+            out.setdefault(code, (child, b"".join(child_generators)))
+    return out
+
+
+class TestDegreeSumPrefilter:
+    def test_matches_recomputation_on_the_child(self, rng):
+        from tests.conftest import random_connected_graph
+
+        kept = cut = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, n_max=10)
+            deg = g.degrees()
+            for u, v in g.non_edges():
+                child = g.with_edge(u, v)
+                d = child.degrees()
+                want = all(d[u] + d[v] >= d[x] + d[y] for x, y in child.edges())
+                assert _top_degree_sum(deg, g.edges(), u, v) == want, (g.edges(), u, v)
+                kept += want
+                cut += not want
+        assert kept and cut
+
+    def test_levels_match_labeling_every_leader(self):
+        n = 8
+        empty = Graph(n, [0] * n)
+        code, _, generators = canonical_form(empty)
+        for k in range(3, 7):
+            ours = ref = {code: (empty, b"".join(generators))}
+            m = 0
+            while ref:
+                m += 1
+                ours = _next_level(ours, k, _Budget(None, None))
+                ref = label_every_leader(ref, k)
+                assert set(ours) == set(ref), (k, m)
+
+    def test_graphs_sorted_by_canonical_code(self, extremal9):
+        for res in (extremal9, enumerate_saturated(8, 5), enumerate_saturated(7, 4)):
+            codes = [canonical_form(g)[0] for g in res.graphs]
+            assert codes == sorted(codes) and len(set(codes)) == len(codes)
+            strings = [to_graph6(g) for g in res.graphs]
+            assert strings == sorted(strings)
 
 
 class TestPersistence:
