@@ -21,7 +21,7 @@ takes them directly instead of recursing.
 
 R depends only on the target, the length and ``banned``, so a caller that
 searches many paths into one target passes the masks from :func:`reach` once
-(see :func:`saturation_scan` and ``saturation.check_saturated``).
+(see :func:`witness_scan` and ``saturation.check_saturated``).
 """
 
 from __future__ import annotations
@@ -127,10 +127,10 @@ def has_cycle(adj, k) -> bool:
 _has_cycle = has_cycle
 
 
-def saturation_scan(adj, k) -> int:
-    """Classify the graph: not C_k-free, C_k-saturated, or missing a witness."""
-    if _has_cycle(adj, k):
-        return SAT_NOT_FREE
+def witness_scan(adj, k) -> bool:
+    """True iff every non-edge uv is joined by a path of k-1 edges, so that
+    adding it closes a k-cycle.  It does not test C_k-freeness: on a C_k-free
+    graph, True means C_k-saturated."""
     n = len(adj)
     for u in range(n):
         masks = None
@@ -140,8 +140,15 @@ def saturation_scan(adj, k) -> int:
             if masks is None:
                 masks = reach(adj, u, k - 1)  # search v -> u: one R for every v
             if least_path(adj, v, u, k - 1, 0, masks) is None:
-                return SAT_MISSING_WITNESS
-    return SAT_SATURATED
+                return False
+    return True
+
+
+def saturation_scan(adj, k) -> int:
+    """Classify the graph: not C_k-free, C_k-saturated, or missing a witness."""
+    if _has_cycle(adj, k):
+        return SAT_NOT_FREE
+    return SAT_SATURATED if witness_scan(adj, k) else SAT_MISSING_WITNESS
 
 
 def is_connected(adj) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import kernels
-from .graph import Graph, CyclePath, GraphError, contains_cycle, paths_between
+from .graph import Graph, CyclePath, GraphError, contains_cycle
 
 
 class PreconditionError(GraphError):
@@ -185,43 +185,3 @@ def degree_sum_check(g: Graph) -> bool:
     x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in ts.t1)]
     return sum(g.degree(v) for v in x) >= 3 * len(x)
 
-
-def lemma31_check(g: Graph, e, p: int) -> bool:
-    """Path-replacement predicate for a non-edge.
-
-    For every p-subpath P_1 (containing e) of a 6-cycle closed by e, with ends
-    x, y, and every vertex-disjoint p-path P_2 from x to y in the graph, some
-    (6-p)-path from x to y must meet P_2 internally. Vacuously true when no
-    such configuration exists.
-    """
-    u, v = e
-    if g.has_edge(u, v):
-        raise PreconditionError(f"{e} is an edge")
-    if g.n > 20:
-        raise PreconditionError("bounded to n <= 20")
-    if not 1 <= p <= 5:
-        raise PreconditionError("subpath length must be in 1..5")
-    gplus = g.with_edge(u, v)
-    cycles = [(u,) + q.vertices[:-1] for q in paths_between(gplus, v, u, 5)]
-    for cyc in cycles:
-        # p-subpaths of the 6-cycle containing the new edge (positions 0-1)
-        for start in range(6):
-            verts = [cyc[(start + i) % 6] for i in range(p + 1)]
-            pairs = {frozenset((verts[i], verts[i + 1])) for i in range(p)}
-            if frozenset((u, v)) not in pairs:
-                continue
-            x, y = verts[0], verts[-1]
-            if x == y:
-                continue
-            p1_set = set(verts)
-            for p2 in paths_between(g, x, y, p):
-                inner2 = set(p2.vertices) - {x, y}
-                if (set(p2.vertices) & p1_set) != {x, y}:
-                    continue
-                ok = any(
-                    (set(p3.vertices) - {x, y}) & inner2
-                    for p3 in paths_between(g, x, y, 6 - p)
-                )
-                if not ok:
-                    return False
-    return True

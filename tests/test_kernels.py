@@ -8,6 +8,7 @@ Each vertex paired with itself asks for the cycles through it.
 
 import itertools
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,30 @@ def test_existence_tests_match_brute_force(path_table):
             else:
                 want = kernels.SAT_MISSING_WITNESS
             assert kernels.saturation_scan(g.adj, k) == want
+
+
+def test_witness_scan_matches_brute_force(path_table):
+    # on C_k-free graphs only: there the witnesses alone decide saturation
+    tried = {True: 0, False: 0}
+    for i, (g, _) in enumerate(GRAPHS):
+        for k in range(3, 8):
+            if brute_has_cycle(g, k):
+                continue
+            want = all(path_table[i, u, v, k - 1] for u, v in g.non_edges())
+            assert kernels.witness_scan(g.adj, k) == want, (i, k)
+            tried[want] += 1
+    for g in c6_free_graphs():
+        want = all(brute_paths(g, u, v, 5) for u, v in g.non_edges())
+        assert kernels.witness_scan(g.adj, 6) == want
+        tried[want] += 1
+    assert tried[True] and tried[False]
+
+
+def test_saturation_scan_reaches_every_verdict():
+    verdicts = Counter(kernels.saturation_scan(g.adj, k)
+                       for g, _ in GRAPHS for k in range(3, 8))
+    assert set(verdicts) == {kernels.SAT_NOT_FREE, kernels.SAT_SATURATED,
+                             kernels.SAT_MISSING_WITNESS}
 
 
 def test_scan_classes():

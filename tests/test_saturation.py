@@ -9,7 +9,6 @@ from satforge.saturation import (
     degree_sum_check,
     good_roots,
     is_saturated_fast,
-    lemma31_check,
     reduce_t2,
     t_sets,
     theta_classes,
@@ -126,20 +125,3 @@ class TestDegreeSum:
         with pytest.raises(PreconditionError):
             degree_sum_check(Graph.star(5))
 
-
-class TestLemma31:
-    def test_requires_non_edge(self):
-        g = Graph.cycle(5)
-        with pytest.raises(PreconditionError):
-            lemma31_check(g, (0, 1), 2)
-
-    def test_family_non_edges(self):
-        g, spec = build_construction(9)
-        lab = spec.labels
-        for e in [(lab["a0"], lab["c0"]), (lab["y3"], lab["y4"])]:
-            for p in (2, 3):
-                assert lemma31_check(g, e, p) in (True, False)
-
-    def test_vacuous_when_no_cycle_closes(self):
-        g = Graph.path(4)
-        assert lemma31_check(g, (0, 3), 2)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import networkx as nx
@@ -8,9 +9,10 @@ from satforge.graph import Graph, from_graph6, has_path, read_graph6_file, to_gr
 from satforge.search import (
     SearchError,
     _Budget,
+    _degree_sum_passing,
+    _Labeler,
     _next_level,
     _orbit_leaders,
-    _top_degree_sum,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -48,6 +50,20 @@ SYMMETRIC = {
             "Es\\o"),
     "cube": (_cube, "GsXP_["),
 }
+
+
+def group_order(n, generators):
+    """Order of the permutation group the generators generate, by closure."""
+    identity = tuple(range(n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        a = frontier.pop()
+        for perm in generators:
+            b = tuple(perm[x] for x in a)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return len(group)
 
 
 def scrambled(g):
@@ -153,12 +169,49 @@ class TestCanonical:
         with pytest.raises(SearchError):
             canonical_key(Graph.path(17))
 
+    def test_generators_generate_the_whole_group(self):
+        # every graph with 2..7 vertices, and random ones with 8..10
+        graphs = [h for h in nx.graph_atlas_g() if 2 <= h.number_of_nodes() <= 7]
+        rng = random.Random(0xA7)
+        for _ in range(300):
+            n = rng.randint(8, 10)
+            p = rng.uniform(0.15, 0.6)
+            graphs.append(nx.gnp_random_graph(n, p, seed=rng.randrange(1 << 30)))
+        for h in graphs:
+            g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+            _, _, generators = canonical_form(g)
+            vf2 = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            assert group_order(g.n, generators) == vf2, to_graph6(g)
+
+    def test_automorphism_pruning_keeps_code_and_ordering(self, rng, monkeypatch):
+        from tests.conftest import random_connected_graph
+
+        graphs = [random_connected_graph(rng, n_max=12) for _ in range(60)]
+        graphs += [make() for make, _ in SYMMETRIC.values()]
+        graphs += [g.with_edge(u, v) for g in (from_graph6(c) for c in SAT_9_6)
+                   for u, v in g.non_edges()]
+        leaves = []
+        leaf = _Labeler.leaf
+
+        def counted_leaf(self, order):
+            leaves.append(order)
+            leaf(self, order)
+
+        monkeypatch.setattr(_Labeler, "leaf", counted_leaf)
+        pruned = [canonical_form(g)[:2] for g in graphs]
+        pruned_leaves = len(leaves)
+        leaves.clear()
+        monkeypatch.setattr(_Labeler, "covered", lambda self, v, explored, prefix: False)
+        assert [canonical_form(g)[:2] for g in graphs] == pruned
+        assert pruned_leaves < len(leaves)
+
 
 class TestBounds:
     def test_lower_bound_values(self):
-        assert saturation_lower_bound(9, 6) == 9
-        assert saturation_lower_bound(12, 6) == 12
-        assert saturation_lower_bound(9, 3) == 8
+        # connectivity alone: no k and no outside bound
+        assert saturation_lower_bound(1) == 0
+        assert saturation_lower_bound(9) == 8
+        assert saturation_lower_bound(12) == 11
 
 
 class TestEnumeration:
@@ -176,6 +229,11 @@ class TestEnumeration:
         res = enumerate_saturated(4, 6)
         assert res.min_edges == 6  # only K_4 qualifies
         assert are_isomorphic(res.graphs[0], Graph.complete(4))
+
+    def test_nodes_count_passing_orbit_leaders(self, extremal9):
+        # one node per orbit leader among the non-edges that pass the
+        # degree-sum test (58,212 when every non-edge's leader counted)
+        assert extremal9.nodes == 10385
 
     def test_budget_exhaustion(self):
         res = enumerate_saturated(9, 6, budget_nodes=40)
@@ -210,8 +268,8 @@ class TestEnumeration:
         for name, leaders in expected.items():
             g = SYMMETRIC[name][0]()
             _, _, generators = canonical_form(g)
-            assert _orbit_leaders(g, b"".join(generators)) == leaders, name
-            assert _orbit_leaders(g, b"") == g.non_edges()
+            assert _orbit_leaders(g.n, g.non_edges(), b"".join(generators)) == leaders, name
+            assert _orbit_leaders(g.n, g.non_edges(), b"") == g.non_edges()
 
     def test_level_sizes_count_every_ck_free_graph(self):
         # orbit pruning must not lose a class: each level holds exactly the
@@ -230,10 +288,10 @@ class TestEnumeration:
 
 def label_every_leader(level, k):
     """One augmentation level without the degree-sum prefilter: every orbit
-    leader that closes no k-cycle is labeled."""
+    leader among all the non-edges that closes no k-cycle is labeled."""
     out = {}
     for g, generators in level.values():
-        for u, v in _orbit_leaders(g, generators):
+        for u, v in _orbit_leaders(g.n, g.non_edges(), generators):
             if k <= g.n and has_path(g, u, v, k - 1):
                 continue
             child = g.with_edge(u, v)
@@ -249,15 +307,18 @@ class TestDegreeSumPrefilter:
         kept = cut = 0
         for _ in range(60):
             g = random_connected_graph(rng, n_max=10)
-            deg = g.degrees()
+            want = []
             for u, v in g.non_edges():
                 child = g.with_edge(u, v)
                 d = child.degrees()
-                want = all(d[u] + d[v] >= d[x] + d[y] for x, y in child.edges())
-                assert _top_degree_sum(deg, g.edges(), u, v) == want, (g.edges(), u, v)
-                kept += want
-                cut += not want
+                if all(d[u] + d[v] >= d[x] + d[y] for x, y in child.edges()):
+                    want.append((u, v))
+            assert _degree_sum_passing(g) == want, g.edges()
+            kept += len(want)
+            cut += len(g.non_edges()) - len(want)
         assert kept and cut
+        assert _degree_sum_passing(Graph(5, [0] * 5)) == Graph(5, [0] * 5).non_edges()
+        assert _degree_sum_passing(Graph.complete(5)) == []
 
     def test_levels_match_labeling_every_leader(self):
         n = 8
