@@ -142,8 +142,6 @@ def cmd_search(args):
     print(summary_table([res]))
     if res.status == "budget-exhausted":
         return EXIT_BUDGET
-    if res.min_edges is None:
-        return EXIT_VERDICT
     print(f"sat={res.min_edges}")
     return EXIT_OK
 
@@ -197,7 +195,11 @@ def cmd_table(args):
         if corpus:
             path = Path(corpus) / f"sat_{n}_6.g6"
             if path.exists():
-                graphs = read_graph6_file(path)
+                try:
+                    graphs = read_graph6_file(path)
+                except (OSError, Graph6Error) as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
                 if graphs:
                     exact = str(graphs[0].edge_count)
         print(f"{n:>4} {lower_bound_edges(n):>6} {upper!s:>6} {edges:>6} {exact:>5}")

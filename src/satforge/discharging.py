@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import kernels
+from .construction import lower_bound_edges
 from .graph import Graph, GraphError, LevelPartition, bfs_levels
 from .saturation import (
     PreconditionError,
@@ -47,7 +48,6 @@ class RuleConflict(DischargeError):
 @dataclass(frozen=True)
 class RootChoice:
     alpha: int
-    closed_nbhd: frozenset
     delta: int
     rationale: str
 
@@ -144,17 +144,16 @@ def choose_root(g: Graph) -> RootChoice:
         rationale = f"good-root-class-{theta.classes[alpha]}"
         if theta.classes[alpha] == 5:
             rationale += "-fallback"
-    nbhd = frozenset([alpha] + g.neighbors(alpha))
-    return RootChoice(alpha, nbhd, delta, rationale)
+    return RootChoice(alpha, delta, rationale)
 
 
 # ---------------------------------------------------------------------------
 # initial charge and classes
 # ---------------------------------------------------------------------------
 
-def level_charges(g: Graph, root: int, max_level: int = 5):
+def level_charges(g: Graph, root: int):
     """Layer from an arbitrary root and assign the initial charge."""
-    part = bfs_levels(g, root, max_level)
+    part = bfs_levels(g, root, 5)
     ledger = ChargeLedger(g, part)
     charges = {}
     for v in range(g.n):
@@ -348,10 +347,7 @@ def _empty_level(ledger, charges, i, step, split=None, negatives_send=False):
     for w in sorted(ledger.level_set(i)):
         if charges[w] < 0 and not negatives_send:
             continue
-        down = ledger.nbrs_at(w, i - 1)
-        if not down:
-            ledger.flag(f"level-{i} vertex {w} has no level-{i - 1} neighbor")
-            continue
+        down = ledger.nbrs_at(w, i - 1)  # non-empty: w is at distance i >= 2
         fracs = split(ledger, w, down) if split else None
         if fracs is None:
             fracs = [(z, F(1, len(down))) for z in down]
@@ -375,7 +371,9 @@ def _split_exception(ledger, w, down):
         return ledger.n_class(z, 5, MINUS)
 
     if g.degree(w) == 3 and len(down) == 2:
-        (w1,) = [x for x in ledger.nbrs_at(w, 5)]  # may raise ValueError len!=1
+        # w is in the deepest level and has degree 3 with two level-4
+        # neighbors, so it has exactly one level-5 neighbor
+        (w1,) = ledger.nbrs_at(w, 5)
         z1z2 = [z for z in down if ledger.classes.get(z) in MINUS]
         if len(z1z2) == 2:
             cands = []
@@ -538,11 +536,8 @@ class DischargeAudit:
     edges: int
     final_bound_ok: bool
     reduced_t2: int = 0
-    charge_identity_ok: bool | None = None
     v1_sum: Fraction | None = None
     v1_sum_ok: bool | None = None
-    stage1_conserved: bool | None = None
-    stage2_conserved: bool | None = None
     monotone_sign_ok: bool | None = None
     class_bounds_ok: bool | None = None
     v4_debt_ok: bool | None = None
@@ -556,10 +551,6 @@ class DischargeAudit:
     @property
     def passed(self):
         return self.final_bound_ok and not self.failures
-
-
-def _bound_ok(edges, n):
-    return 3 * edges >= 4 * n - 6
 
 
 def _check_monotone(ledger, fail):
@@ -658,11 +649,11 @@ def _check_theorems(ledger, audit):
                 audit.failures.append(f"final nonnegativity violated at {v}: f7 = {f7[v]}")
 
 
-def audit(g: Graph, k: int = 6) -> DischargeAudit:
+def audit(g: Graph) -> DischargeAudit:
     """Full pipeline audit of a C_6-saturated graph, dispatching on minimum
-    degree exactly as the edge lower bound's proof does."""
-    if k != 6:
-        raise PreconditionError("discharging audit is defined for 6-cycles")
+    degree exactly as the edge lower bound's proof does.  The charge
+    identity and the conservation of each stage are not reported: the
+    stages raise unless they hold."""
     if not is_saturated_fast(g, 6):
         raise PreconditionError("input is not C_6-saturated")
     if g.n <= 3:
@@ -670,7 +661,7 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
         # short-circuit (K_3 would fail the T_2 parity check, which assumes a
         # proper saturated host around the triangles)
         return DischargeAudit("complete-graph", g.n, g.edge_count,
-                              _bound_ok(g.edge_count, g.n))
+                              g.edge_count >= lower_bound_edges(g.n))
     removed = 0
     ts = t_sets(g)
     if ts.t2:
@@ -681,10 +672,10 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
     n, e = g.n, g.edge_count
     delta = g.min_degree()
     if delta >= 3:
-        ok = 2 * e >= 3 * n and _bound_ok(e, n)
+        ok = 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("delta>=3", n, e, ok, reduced_t2=removed)
     if delta == 2 and not good_roots(g):
-        ok = degree_sum_check(g) and 2 * e >= 3 * n and _bound_ok(e, n)
+        ok = degree_sum_check(g) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("no-good-root", n, e, ok, reduced_t2=removed)
 
     rc = choose_root(g)
@@ -694,12 +685,8 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
     stage_two(ledger)
 
     out = DischargeAudit("full", n, e, False, reduced_t2=removed, ledger=ledger)
-    out.charge_identity_ok = _identity_holds(ledger)
     out.v1_sum = sum((ledger.stages["g"][v] for v in ledger.level_set(1)), F(0))
     out.v1_sum_ok = out.v1_sum == (F(-5, 3) if rc.delta == 1 else F(-2))
-    base_outer = ledger.outer_sum("g")
-    out.stage1_conserved = ledger.outer_sum("g5") == base_outer
-    out.stage2_conserved = ledger.outer_sum("f7") == base_outer
     mono_fail, obs_fail = [], []
     _check_monotone(ledger, mono_fail)
     _check_observations(ledger, obs_fail)
@@ -708,16 +695,11 @@ def audit(g: Graph, k: int = 6) -> DischargeAudit:
     out.failures.extend(mono_fail + obs_fail)
     _check_theorems(ledger, out)
     out.outer_sum_nonneg = ledger.outer_sum("f7") >= 0
-    for name, ok in (
-        ("charge-identity", out.charge_identity_ok),
-        ("v1-sum", out.v1_sum_ok),
-        ("stage1-conservation", out.stage1_conserved),
-        ("stage2-conservation", out.stage2_conserved),
-        ("outer-sum-nonneg", out.outer_sum_nonneg),
-    ):
+    for name, ok in (("v1-sum", out.v1_sum_ok),
+                     ("outer-sum-nonneg", out.outer_sum_nonneg)):
         if not ok:
             out.failures.append(f"{name} check failed")
-    out.final_bound_ok = _bound_ok(e, n)
+    out.final_bound_ok = e >= lower_bound_edges(n)
     if not out.final_bound_ok:
         out.failures.append(f"final bound failed: e={e}, n={n}")
     out.diagnostics = list(ledger.diagnostics)

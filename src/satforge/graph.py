@@ -142,9 +142,6 @@ class Graph:
     def degrees(self):
         return [row.bit_count() for row in self.adj]
 
-    def is_connected(self):
-        return kernels.is_connected(self.adj)
-
     def with_edge(self, u, v):
         if self.has_edge(u, v) or u == v:
             raise GraphError(f"cannot add edge {u}-{v}")

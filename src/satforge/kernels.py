@@ -28,10 +28,6 @@ from __future__ import annotations
 
 BACKEND = "python"
 
-SAT_NOT_FREE = 0
-SAT_SATURATED = 1
-SAT_MISSING_WITNESS = 2
-
 
 def reach(adj, v, length, banned=0):
     """R[0..length-1] for target v: R[j] is the mask of vertices with a walk
@@ -144,24 +140,7 @@ def witness_scan(adj, k) -> bool:
     return True
 
 
-def saturation_scan(adj, k) -> int:
-    """Classify the graph: not C_k-free, C_k-saturated, or missing a witness."""
-    if _has_cycle(adj, k):
-        return SAT_NOT_FREE
-    return SAT_SATURATED if witness_scan(adj, k) else SAT_MISSING_WITNESS
-
-
-def is_connected(adj) -> bool:
-    if len(adj) <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << len(adj)) - 1
+def saturation_scan(adj, k) -> bool:
+    """True iff the graph is C_k-saturated: C_k-free, with a witness path
+    for every non-edge."""
+    return not _has_cycle(adj, k) and witness_scan(adj, k)

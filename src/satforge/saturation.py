@@ -71,7 +71,7 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
 
 def is_saturated_fast(g: Graph, k: int) -> bool:
     """Saturation test that builds no witnesses: the kernels' existence scan."""
-    return kernels.saturation_scan(g.adj, k) == kernels.SAT_SATURATED
+    return kernels.saturation_scan(g.adj, k)
 
 
 # ---------------------------------------------------------------------------

@@ -277,14 +277,10 @@ class SearchResult:
     k: int
     min_edges: int | None
     graphs: list = field(default_factory=list)  # canonical representatives
-    status: str = "complete"  # "complete" | "budget-exhausted" | "not-found"
+    status: str = "complete"  # "complete" | "budget-exhausted"
     nodes: int = 0
     elapsed: float = 0.0
     level_sizes: dict = field(default_factory=dict)  # m -> class count
-
-    @property
-    def found(self):
-        return self.min_edges is not None
 
 
 class _Budget:
@@ -405,17 +401,20 @@ def _next_level(level, k, budget):
     return out
 
 
-def enumerate_saturated(n: int, k: int, max_edges=None,
-                        budget_nodes=None, budget_secs=None) -> SearchResult:
+def enumerate_saturated(n: int, k: int, budget_nodes=None,
+                        budget_secs=None) -> SearchResult:
     """All minimum C_k-saturated graphs on n vertices, up to isomorphism.
 
     Runs the levelwise enumeration until the first edge count that admits a
     saturated graph, finishing that level so the class list is complete.
+    That level always comes, unless the budget runs out first: a level with
+    no saturated graph holds C_k-free graphs that are not saturated, so each
+    has a non-edge that closes no k-cycle, and `_next_level`, being
+    complete, gives a non-empty next level.  The edge count cannot pass
+    C(n, 2), so some level holds a saturated graph.
     """
     if n < 1 or k < 3:
         raise SearchError("need n >= 1 and k >= 3")
-    if max_edges is None:
-        max_edges = n * (n - 1) // 2
     start = time.monotonic()
     budget = _Budget(budget_nodes, budget_secs)
     result = SearchResult(n, k, None)
@@ -429,13 +428,10 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
             result.min_edges = 0
             result.graphs = [empty]
         m = 0
-        while result.min_edges is None and m < max_edges:
+        while result.min_edges is None:
             m += 1
             level = _next_level(level, k, budget)
             result.level_sizes[m] = len(level)
-            if not level:
-                result.status = "not-found"
-                break
             if m >= m_low:
                 # level graphs are C_k-free by construction: only the
                 # witnesses are left to test
@@ -444,8 +440,6 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
                 if hits:
                     result.min_edges = m
                     result.graphs = [canonical_graph(g) for g in hits]
-        if result.min_edges is None and result.status == "complete":
-            result.status = "not-found"
     except BudgetExhausted:
         result.status = "budget-exhausted"
     result.nodes = budget.spent
@@ -455,7 +449,7 @@ def enumerate_saturated(n: int, k: int, max_edges=None,
 
 def min_saturated_edges(n: int, k: int, **kw) -> int:
     res = enumerate_saturated(n, k, **kw)
-    if res.status != "complete" or res.min_edges is None:
+    if res.status != "complete":
         raise SearchError(f"search incomplete for n={n}, k={k}: {res.status}")
     return res.min_edges
 

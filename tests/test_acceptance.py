@@ -84,7 +84,10 @@ def test_criterion_6_conservation(corpus):
     bad = []
     for g in corpus:
         a = audit(g)
-        if a.branch == "full" and not (a.stage1_conserved and a.stage2_conserved):
+        if a.branch != "full":
+            continue
+        g0, g5, f7 = (a.ledger.outer_sum(s) for s in ("g", "g5", "f7"))
+        if not g0 == g5 == f7:
             bad.append(g)
     _report(6, not bad, "stage totals over V\\V_1 exact at g, g*, f_7")
 

@@ -144,6 +144,14 @@ class TestTable:
         assert code == EXIT_OK
         assert stdout.strip().splitlines()[1].split()[-1] == "12"
 
+    def test_malformed_corpus_file_is_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch):
+        (tmp_path / "sat_9_6.g6").write_text("H?\n")  # truncated record
+        monkeypatch.setenv("SATFORGE_CORPUS", str(tmp_path))
+        code, _, stderr = run(capsys, "table", "--n-range", "9..9")
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: ")
+
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "--n-range", "12..9")
         assert code == EXIT_USAGE

@@ -356,7 +356,38 @@ class TestPersistence:
         assert "complete" in table and " 4" in table
 
 
+def closes_k_cycle(h, u, v, k):
+    """Whether adding uv to the networkx graph h closes a k-cycle."""
+    return any(len(p) == k for p in nx.all_simple_paths(h, u, v, cutoff=k - 1))
+
+
 class TestAtlasCrossCheck:
+    def test_level_sizes_match_networkx_at_n8(self):
+        # past the atlas (n <= 7): rebuild the C_6-free levels with networkx's
+        # isomorphism test in place of the labeler, bucketed by an invariant
+        def invariant(h):
+            return tuple(sorted((h.degree(x), tuple(sorted(h.degree(y) for y in h[x])))
+                                for x in h))
+
+        level = [nx.empty_graph(8)]
+        sizes = {0: 1}
+        while len(sizes) <= 11:
+            buckets = {}
+            for h in level:
+                for u, v in nx.non_edges(h):
+                    if closes_k_cycle(h, u, v, 6):
+                        continue
+                    child = h.copy()
+                    child.add_edge(u, v)
+                    bucket = buckets.setdefault(invariant(child), [])
+                    if not any(nx.is_isomorphic(child, c) for c in bucket):
+                        bucket.append(child)
+            level = [c for bucket in buckets.values() for c in bucket]
+            sizes[len(sizes)] = len(level)
+        assert sizes == {0: 1, 1: 1, 2: 2, 3: 5, 4: 11, 5: 24, 6: 55, 7: 111,
+                         8: 199, 9: 306, 10: 349, 11: 266}
+        assert enumerate_saturated(8, 6).level_sizes == sizes
+
     def test_canonical_classes_match_atlas_n5(self):
         # networkx atlas is already one graph per class; keys must stay unique
         keys = set()
