@@ -116,7 +116,11 @@ def cmd_check(args):
         return EXIT_USAGE
     all_ok = True
     for i, g in enumerate(graphs):
-        rep = check_saturated(g, args.k)
+        try:
+            rep = check_saturated(g, args.k)
+        except PreconditionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         line = f"graph {i}: n={g.n} m={g.edge_count} verdict={rep.verdict}"
         if rep.verdict == "not-free":
             line += " cycle=" + "-".join(map(str, rep.free_violation.vertices))
@@ -186,11 +190,13 @@ def cmd_table(args):
     print(f"{'n':>4} {'lower':>6} {'upper':>6} {'edges':>6} {'sat':>5}")
     for n in args.n_range:
         try:
-            g, _ = build_construction(n)
             upper = upper_bound_edges(n)
-            edges = str(g.edge_count)
         except ConstructionError:
-            upper, edges = "-", "-"
+            upper = "-"
+        try:
+            edges = str(build_construction(n)[0].edge_count)
+        except ConstructionError:
+            edges = "-"
         exact = "-"
         if corpus:
             path = Path(corpus) / f"sat_{n}_6.g6"

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError
+from .graph import MAX_VERTICES, Graph, GraphError
 from .saturation import check_saturated
 
 # Core on labels x1 x2 y1 y2 y3 y4 a0 b0 c0; reconstructed from the witness
@@ -70,6 +70,8 @@ def build_construction(n: int):
     """
     if n < 9:
         raise ConstructionError("family starts at n = 9")
+    if n > MAX_VERTICES:
+        raise ConstructionError(f"graphs have at most {MAX_VERTICES} vertices")
     t, eps = divmod(n, 3)
     labels = {name: i for i, name in enumerate(_CORE_LABELS)}
     nid = 9

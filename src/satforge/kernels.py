@@ -19,9 +19,23 @@ is still the lexicographically least one. With ``left == 2`` the surviving
 candidates w are exactly the answers (w is adjacent to v), so the search
 takes them directly instead of recursing.
 
-R depends only on the target, the length and ``banned``, so a caller that
-searches many paths into one target passes the masks from :func:`reach` once
-(see :func:`witness_scan` and ``saturation.check_saturated``).
+One walk per source. :func:`least_paths` finds the least path from one
+source u to each vertex of a target mask T in a single depth-first search:
+it visits the prefixes (u, ..., c) in lexicographic order and, at each prefix
+of ``length - 1`` edges, takes every still-unreached target adjacent to c
+and not on the prefix as its final vertex. Every candidate path to a fixed
+target v ends in v, so the paths to v are ordered by their prefixes, and the
+first prefix met whose last vertex is adjacent to v (with v not on it) is
+the prefix of the least u-v path: the one :func:`least_path` returns. The
+walk stops once every target is reached. It prunes with the union of the
+targets' walk masks: U[0] = T, and U[j+1] is the union of adj[x] over the
+vertices x of U[j], keeping only vertices that may be inner (not banned, not
+u). A simple path to v in T leaves u, passes inner vertices that are neither
+banned nor u, and ends in v, so its remaining part from any inner vertex w is
+a walk of that many edges to a target through allowed vertices: w is in the
+U mask for its distance. The union test therefore cuts no answer, for any
+target. :func:`witness_scan` and ``saturation.check_saturated`` run one walk
+per source u, with u's non-neighbours above u as T.
 """
 
 from __future__ import annotations
@@ -35,14 +49,18 @@ def reach(adj, v, length, banned=0):
     masks = [1 << v, adj[v]]
     allowed = ~(banned | 1 << v)
     for _ in range(2, length):
-        frontier = masks[-1] & allowed
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= adj[low.bit_length() - 1]
-        masks.append(nxt)
+        masks.append(_neighborhood(adj, masks[-1] & allowed))
     return masks
+
+
+def _neighborhood(adj, mask):
+    """The union of adj[x] over the vertices x of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
 
 
 def _extend(adj, masks, avoid, path, left, out):
@@ -72,28 +90,88 @@ def _extend(adj, masks, avoid, path, left, out):
     return None
 
 
-def _search(adj, u, v, length, banned, masks, out):
+def _search(adj, u, v, length, banned, out):
     if length == 1:
         found = (u, v) if adj[u] >> v & 1 else None
         if found is not None and out is not None:
             out.append(found)
         return found
-    if masks is None:
-        masks = reach(adj, v, length, banned)
+    masks = reach(adj, v, length, banned)
     return _extend(adj, masks, banned | 1 << u | 1 << v, [u], length, out)
 
 
-def least_path(adj, u, v, length, banned=0, masks=None):
+def least_path(adj, u, v, length, banned=0):
     """Lexicographically least simple u-v path with exactly `length` edges and
     no inner vertex in `banned`, as a vertex tuple, or None. With u == v it is
-    the least cycle of `length` edges through u, as a closed tuple (u, ..., u).
-    `masks` may carry ``reach(adj, v, length, banned)`` precomputed."""
+    the least cycle of `length` edges through u, as a closed tuple (u, ..., u)."""
     if u == v:
         if not 3 <= length <= len(adj):
             return None
     elif not 0 < length < len(adj):
         return None
-    return _search(adj, u, v, length, banned, masks, None)
+    return _search(adj, u, v, length, banned, None)
+
+
+def _record(out, prefix, ends):
+    """Store the path `prefix` + (v,) as out[v] for each vertex v of `ends`."""
+    while ends:
+        low = ends & -ends
+        ends ^= low
+        v = low.bit_length() - 1
+        out[v] = (*prefix, v)
+
+
+def _walk(adj, masks, visited, path, left, remaining, out):
+    """Extend `path` (its vertices are `visited`) by `left` >= 2 edges into the
+    target mask `remaining`, recording the first path met to each target.
+    Returns the targets still unreached."""
+    cand = adj[path[-1]] & masks[left - 1] & ~visited
+    if left == 2:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            hit = adj[w] & remaining & ~visited
+            if not hit:
+                continue
+            remaining ^= hit
+            if out is not None:
+                _record(out, (*path, w), hit)
+            if not remaining:
+                return 0
+        return remaining
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        path.append(low.bit_length() - 1)
+        remaining = _walk(adj, masks, visited | low, path, left - 1, remaining, out)
+        path.pop()
+        if not remaining:
+            return 0
+    return remaining
+
+
+def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
+    """For each vertex v of the mask `targets`, the lexicographically least
+    simple u-v path with exactly `length` edges and no inner vertex in
+    `banned`: the path ``least_path(adj, u, v, length, banned)`` returns, found
+    in one walk from u. Each path is stored as ``out[v]`` when `out` (a dict)
+    is given. Returns the mask of targets with no such path; u itself is
+    never reached."""
+    if not targets or not 0 < length < len(adj):
+        return targets
+    if length == 1:
+        if out is not None:
+            _record(out, (u,), adj[u] & targets)
+        return targets & ~adj[u]
+    allowed = ~(banned | 1 << u)
+    masks = [targets]
+    for _ in range(2, length):
+        masks.append(_neighborhood(adj, masks[-1]) & allowed)
+    # u's neighbors are not tested against U[length-1]: their own
+    # candidates are, and that pass would cost more than it prunes
+    masks.append(allowed)
+    return _walk(adj, masks, 1 << u, [u], length, targets, out)
 
 
 def all_paths(adj, u, v, length, banned=0) -> list:
@@ -102,7 +180,7 @@ def all_paths(adj, u, v, length, banned=0) -> list:
     of `length` edges through u, once per direction, as closed tuples."""
     out = []
     if (3 <= length <= len(adj)) if u == v else (0 < length < len(adj)):
-        _search(adj, u, v, length, banned, None, out)
+        _search(adj, u, v, length, banned, out)
     return out
 
 
@@ -118,6 +196,11 @@ def has_cycle(adj, k) -> bool:
                for s in range(len(adj) - k + 1))
 
 
+def non_neighbors_above(adj, u) -> int:
+    """The mask of vertices v > u not adjacent to u: u's non-edges (u, v)."""
+    return ~adj[u] & ((1 << len(adj)) - (2 << u))
+
+
 # saturation_scan's own test, bound here so that a wrapper installed on the
 # public name (the benchmark's tracer) counts only outside calls
 _has_cycle = has_cycle
@@ -127,16 +210,9 @@ def witness_scan(adj, k) -> bool:
     """True iff every non-edge uv is joined by a path of k-1 edges, so that
     adding it closes a k-cycle.  It does not test C_k-freeness: on a C_k-free
     graph, True means C_k-saturated."""
-    n = len(adj)
-    for u in range(n):
-        masks = None
-        for v in range(u + 1, n):
-            if adj[u] >> v & 1:
-                continue
-            if masks is None:
-                masks = reach(adj, u, k - 1)  # search v -> u: one R for every v
-            if least_path(adj, v, u, k - 1, 0, masks) is None:
-                return False
+    for u in range(len(adj)):
+        if least_paths(adj, u, k - 1, non_neighbors_above(adj, u)):
+            return False
     return True
 
 

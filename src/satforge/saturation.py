@@ -44,7 +44,8 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
     """Certify C_k-saturation: C_k-free and every non-edge closes a k-cycle.
 
     The witness for non-edge (u,v) is the lexicographically least
-    (k-1)-path from u to v, stored as the cycle it closes.
+    (k-1)-path from u to v, stored as the cycle it closes; one walk from
+    each u finds the witnesses of all its non-edges (u, v > u).
     """
     if k < 3:
         raise PreconditionError("cycle length must be at least 3")
@@ -53,17 +54,14 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
         return SaturationReport(k, False, violation, {}, "not-free")
     witnesses = {}
     missing = None
-    reaches = {}  # target v -> kernels.reach masks, shared by its non-edges
-    for u, v in g.non_edges():
-        masks = reaches.get(v)
-        if masks is None:
-            masks = reaches[v] = kernels.reach(g.adj, v, k - 1)
-        p = kernels.least_path(g.adj, u, v, k - 1, 0, masks)
-        if p is None:
-            if missing is None:
-                missing = (u, v)
-            continue
-        witnesses[(u, v)] = CyclePath(p, "cycle")
+    for u in range(g.n):
+        paths = {}
+        missed = kernels.least_paths(g.adj, u, k - 1,
+                                     kernels.non_neighbors_above(g.adj, u), 0, paths)
+        if missed and missing is None:
+            missing = (u, (missed & -missed).bit_length() - 1)
+        for v in sorted(paths):
+            witnesses[(u, v)] = CyclePath(paths[v], "cycle")
     if missing is not None:
         return SaturationReport(k, True, None, witnesses, "missing-witness", missing)
     return SaturationReport(k, True, None, witnesses, "saturated")

@@ -34,6 +34,12 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert "9" in stderr
 
+    def test_large_n_is_usage_error(self, capsys):
+        code, stdout, stderr = run(capsys, "construct", "--n", "65")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "64" in stderr
+
 
 class TestCheck:
     def test_saturated_input(self, tmp_path, capsys):
@@ -59,6 +65,14 @@ class TestCheck:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent.g6")
         assert code == EXIT_USAGE
+
+    def test_short_cycle_length_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "in.g6"
+        run(capsys, "construct", "--n", "9", "--out", str(path))
+        code, stdout, stderr = run(capsys, "check", str(path), "--k", "2")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "at least 3" in stderr
 
 
 class TestSearch:
@@ -151,6 +165,15 @@ class TestTable:
         code, _, stderr = run(capsys, "table", "--n-range", "9..9")
         assert code == EXIT_USAGE
         assert stderr.startswith("error: ")
+
+    def test_beyond_max_vertices_has_no_edges(self, capsys):
+        code, stdout, _ = run(capsys, "table", "--n-range", "60..70")
+        assert code == EXIT_OK
+        rows = [line.split() for line in stdout.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == [str(n) for n in range(60, 71)]
+        assert rows[4] == ["64", "84", "85", "85", "-"]
+        assert rows[5] == ["65", "85", "87", "-", "-"]
+        assert all(r[3] == "-" for r in rows[5:])
 
     def test_bad_range_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "table", "--n-range", "12..9")

@@ -30,6 +30,11 @@ class TestFamily:
         with pytest.raises(ConstructionError):
             build_construction(8)
 
+    def test_rejects_n_beyond_max_vertices(self):
+        build_construction(64)
+        with pytest.raises(ConstructionError, match="at most 64"):
+            build_construction(65)
+
     def test_edge_formula_range(self):
         for n in range(9, 61):
             g, _ = build_construction(n)

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import satforge
 from satforge import kernels
@@ -114,6 +115,89 @@ def test_least_path_matches_brute_force(path_table):
                 assert (got and got.vertices) == (want if u != v else None)
 
 
+def per_target(adj, u, length, targets, banned):
+    """What least_paths must give: least_path to each target other than u,
+    and the mask of targets without a path (u among them)."""
+    paths = {}
+    for v in range(len(adj)):
+        if targets >> v & 1 and v != u:
+            p = kernels.least_path(adj, u, v, length, banned)
+            if p is not None:
+                paths[v] = p
+    return paths, targets & ~sum(1 << v for v in paths)
+
+
+def test_least_paths_matches_least_path():
+    rng = random.Random(0x1EA5)
+    for g, banned in GRAPHS:
+        full = (1 << g.n) - 1
+        for u in range(g.n):
+            masks = (full, full ^ 1 << u, kernels.non_neighbors_above(g.adj, u),
+                     rng.getrandbits(g.n), rng.getrandbits(g.n))
+            for length in range(1, g.n + 1):
+                for targets in masks:
+                    for ban in (0, banned, rng.getrandbits(g.n)):
+                        out = {}
+                        missed = kernels.least_paths(g.adj, u, length, targets, ban, out)
+                        assert (out, missed) == per_target(g.adj, u, length, targets, ban)
+                        assert kernels.least_paths(g.adj, u, length, targets, ban) == missed
+
+
+def test_least_paths_against_brute_force(path_table):
+    # independent of least_path: the minimum over every enumerated path
+    for i, (g, banned) in enumerate(GRAPHS):
+        for u in range(g.n):
+            targets = kernels.non_neighbors_above(g.adj, u)
+            for length in LENGTHS:
+                out = {}
+                missed = kernels.least_paths(g.adj, u, length, targets, banned, out)
+                for v in range(u + 1, g.n):
+                    want = min(avoiding(path_table[i, u, v, length], banned), default=None)
+                    assert out.get(v) == (want if targets >> v & 1 else None)
+                    assert missed >> v & 1 == (targets >> v & 1 and want is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_least_paths_property(data):
+    n = data.draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+    u = data.draw(st.integers(0, n - 1))
+    length = data.draw(st.integers(1, n))
+    targets = data.draw(st.integers(0, (1 << n) - 1))
+    banned = data.draw(st.integers(0, (1 << n) - 1))
+    out = {}
+    missed = kernels.least_paths(g.adj, u, length, targets, banned, out)
+    assert (out, missed) == per_target(g.adj, u, length, targets, banned)
+
+
+def test_least_paths_edge_cases():
+    adj = Graph.cycle(6).adj
+    out = {}
+    assert kernels.least_paths(adj, 0, 3, 0, 0, out) == 0 and out == {}
+    # no simple path has n or more edges, nor 0
+    for length in (0, 6, 7):
+        assert kernels.least_paths(adj, 0, length, 0b111110, 0, out) == 0b111110
+        assert out == {}
+    # u is never its own target
+    assert kernels.least_paths(adj, 0, 3, 0b001001, 0, out) == 0b000001
+    assert out == {3: (0, 1, 2, 3)}
+    # a target adjacent to u: the edge for length 1, the long way round for 5
+    out = {}
+    assert kernels.least_paths(adj, 0, 1, 0b100010, 0, out) == 0
+    assert out == {1: (0, 1), 5: (0, 5)}
+    out = {}
+    assert kernels.least_paths(adj, 0, 5, 0b100010, 0, out) == 0
+    assert out == {1: (0, 5, 4, 3, 2, 1), 5: (0, 1, 2, 3, 4, 5)}
+    assert kernels.least_paths(adj, 0, 3, 0b000010) == 0b000010
+    # a banned inner vertex blocks one way round; banned ends do not matter
+    out = {}
+    assert kernels.least_paths(adj, 0, 3, 0b001000, 0b001010, out) == 0
+    assert out == {3: (0, 5, 4, 3)}
+
+
 def test_paths_between_matches_brute_force(path_table):
     for i, (g, banned) in enumerate(GRAPHS):
         for u, v in itertools.product(range(g.n), repeat=2):
@@ -203,6 +287,16 @@ def test_check_saturated_witness_is_least_five_path():
             assert (got and got.vertices) == want
             if got is not None:
                 assert got.kind == "cycle" and got.validate(g.with_edge(u, v))
+
+
+def test_check_saturated_keeps_non_edge_order():
+    for g in c6_free_graphs():
+        rep = check_saturated(g, 6)
+        found = [e for e in g.non_edges() if brute_paths(g, *e, 5)]
+        assert list(rep.witnesses) == found
+        lost = [e for e in g.non_edges() if e not in rep.witnesses]
+        assert rep.missing == min(lost, default=None)
+        assert rep.verdict == ("missing-witness" if lost else "saturated")
 
 
 def test_import_pulls_in_no_numeric_stack():
