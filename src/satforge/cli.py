@@ -88,8 +88,12 @@ def cmd_construct(args):
     ok = g.edge_count == bound
     record = to_graph6(g)
     if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(record + "\n")
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text(record + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(record)
     print(f"n={args.n} epsilon={spec.epsilon} edges={g.edge_count} "
@@ -141,7 +145,11 @@ def cmd_search(args):
         return EXIT_USAGE
     outdir = args.out or Path(os.environ.get("SATFORGE_CORPUS", "search-results"))
     if res.graphs:
-        path = save_result(res, outdir)
+        try:
+            path = save_result(res, outdir)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"wrote {path}")
     print(summary_table([res]))
     if res.status == "budget-exhausted":

@@ -3,54 +3,47 @@
 Adjacency is passed as a sequence of per-vertex neighbor bitmasks (vertex
 ``w`` is a neighbor of ``v`` iff bit ``w`` of ``adj[v]`` is set).
 
-:func:`least_path` returns the lexicographically least simple u-v path with
-exactly ``length`` edges whose inner vertices avoid the ``banned`` mask;
-:func:`all_paths` lists every such path in lexicographic order. Both walk the
-same depth-first search, which tries neighbors in ascending order.
+The walk. Every query walks the simple paths from one source u with exactly
+``length`` edges into a mask T of targets; inner vertices avoid u and a
+``banned`` mask. The walk is depth first and tries neighbors in ascending
+order, so it meets the prefixes (u, ..., c) in lexicographic order; at each
+prefix of ``length - 1`` edges it takes every target adjacent to c and not on
+the prefix as the final vertex. Every path to a fixed target v ends in v, so
+the paths to v are ordered by their prefixes: the first one met is the
+lexicographically least u-v path.
 
-Pruning. Let R[0] = {v}, R[1] = adj[v], and let R[j+1] be the union of adj[x]
-over the vertices x of R[j] that may be inner vertices (not banned, not v):
-R[j] holds exactly the vertices with a walk of j edges to v through allowed
-inner vertices. From a vertex with ``left`` edges still to go, the search
-descends into a neighbor w only when w is in R[left-1]. The rest of a simple
-path is such a walk, so the test cuts only branches that contain no answer
-and leaves the order in which answers are met unchanged: the first path found
-is still the lexicographically least one. With ``left == 2`` the surviving
-candidates w are exactly the answers (w is adjacent to v), so the search
-takes them directly instead of recursing.
+- :func:`least_paths` records that first path for each target and stops once
+  every target is reached; :func:`witness_scan` and
+  ``saturation.check_saturated`` run it from each u with u's non-neighbours
+  above u as T.
+- :func:`least_path` and :func:`has_path` walk into the one target T = {v}.
+- :func:`all_paths` records every path met, in lexicographic order.
+- A cycle of L edges through u is a path of L - 1 edges from u to a
+  neighbor of u, closed by the edge back. Cycle queries walk L - 1 edges into
+  the neighbors of u that are not banned; the least cycle is the least of the
+  paths found. :func:`has_cycle` and ``graph.contains_cycle`` walk from each u
+  into its neighbors above u, with the vertices below u banned: the least
+  vertex of a k-cycle is such a u, and its cycles use no vertex below it.
 
-One walk per source. :func:`least_paths` finds the least path from one
-source u to each vertex of a target mask T in a single depth-first search:
-it visits the prefixes (u, ..., c) in lexicographic order and, at each prefix
-of ``length - 1`` edges, takes every still-unreached target adjacent to c
-and not on the prefix as its final vertex. Every candidate path to a fixed
-target v ends in v, so the paths to v are ordered by their prefixes, and the
-first prefix met whose last vertex is adjacent to v (with v not on it) is
-the prefix of the least u-v path: the one :func:`least_path` returns. The
-walk stops once every target is reached. It prunes with the union of the
-targets' walk masks: U[0] = T, and U[j+1] is the union of adj[x] over the
-vertices x of U[j], keeping only vertices that may be inner (not banned, not
-u). A simple path to v in T leaves u, passes inner vertices that are neither
-banned nor u, and ends in v, so its remaining part from any inner vertex w is
-a walk of that many edges to a target through allowed vertices: w is in the
-U mask for its distance. The union test therefore cuts no answer, for any
-target. :func:`witness_scan` and ``saturation.check_saturated`` run one walk
-per source u, with u's non-neighbours above u as T.
+Pruning. Call a vertex allowed when it may be inner: neither banned nor u.
+Let U[0] = T, and let U[j+1] be the allowed vertices of the union of adj[x]
+over the vertices x of U[j]. From an inner vertex w with j edges still to
+go, the rest of a path into T is a walk of j edges into T through allowed
+vertices, so w is in U[j]. The walk enters w only when w is in U[j]: it cuts
+no answer and meets the answers in the same order, for one target or many,
+and for cycles alike. With two edges to go, the targets adjacent to each
+surviving candidate are taken directly, without recursing.
+
+One target v is never an inner vertex of a path to v, so it is not allowed
+either, and u's neighbors are tested against U[length-1] too. With several
+targets, U[length-1] holds nearly every neighbor of u and building it costs
+more than it prunes, so u's neighbors are tested only through their own
+candidates.
 """
 
 from __future__ import annotations
 
 BACKEND = "python"
-
-
-def reach(adj, v, length, banned=0):
-    """R[0..length-1] for target v: R[j] is the mask of vertices with a walk
-    of exactly j edges to v whose inner vertices avoid `banned` and v."""
-    masks = [1 << v, adj[v]]
-    allowed = ~(banned | 1 << v)
-    for _ in range(2, length):
-        masks.append(_neighborhood(adj, masks[-1] & allowed))
-    return masks
 
 
 def _neighborhood(adj, mask):
@@ -63,68 +56,38 @@ def _neighborhood(adj, mask):
     return out
 
 
-def _extend(adj, masks, avoid, path, left, out):
-    """Extend `path` by `left` >= 2 edges to the target masks[0], never
-    entering a vertex of `avoid` (visited, banned and the target itself).
-    With `out` None return the first complete path as a tuple (or None);
-    otherwise append every complete path to `out`, in lexicographic order."""
-    cand = adj[path[-1]] & masks[left - 1] & ~avoid
-    if left == 2:
-        target = masks[0].bit_length() - 1
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            found = (*path, low.bit_length() - 1, target)
-            if out is None:
-                return found
-            out.append(found)
-        return None
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        path.append(low.bit_length() - 1)
-        found = _extend(adj, masks, avoid | low, path, left - 1, out)
-        path.pop()
-        if found is not None:
-            return found
-    return None
+def _masks(adj, u, length, targets, banned):
+    """U[0..length-1] for a walk of `length` >= 2 edges from u into the mask
+    `targets` (see the module docstring)."""
+    allowed = ~(banned | 1 << u)
+    single = not targets & (targets - 1)
+    if single:
+        allowed &= ~targets
+    masks = [targets]
+    for _ in range(2, length):
+        masks.append(_neighborhood(adj, masks[-1]) & allowed)
+    masks.append(_neighborhood(adj, masks[-1]) & allowed if single else allowed)
+    return masks
 
 
-def _search(adj, u, v, length, banned, out):
-    if length == 1:
-        found = (u, v) if adj[u] >> v & 1 else None
-        if found is not None and out is not None:
-            out.append(found)
-        return found
-    masks = reach(adj, v, length, banned)
-    return _extend(adj, masks, banned | 1 << u | 1 << v, [u], length, out)
-
-
-def least_path(adj, u, v, length, banned=0):
-    """Lexicographically least simple u-v path with exactly `length` edges and
-    no inner vertex in `banned`, as a vertex tuple, or None. With u == v it is
-    the least cycle of `length` edges through u, as a closed tuple (u, ..., u)."""
-    if u == v:
-        if not 3 <= length <= len(adj):
-            return None
-    elif not 0 < length < len(adj):
-        return None
-    return _search(adj, u, v, length, banned, None)
-
-
-def _record(out, prefix, ends):
-    """Store the path `prefix` + (v,) as out[v] for each vertex v of `ends`."""
+def _record(out, prefix, ends, every):
+    """Store the path `prefix` + (v,) for each vertex v of `ends`, ascending:
+    appended to the list `out` when `every`, else as out[v]."""
     while ends:
         low = ends & -ends
         ends ^= low
         v = low.bit_length() - 1
-        out[v] = (*prefix, v)
+        if every:
+            out.append((*prefix, v))
+        else:
+            out[v] = (*prefix, v)
 
 
-def _walk(adj, masks, visited, path, left, remaining, out):
+def _walk(adj, masks, visited, path, left, remaining, out, every):
     """Extend `path` (its vertices are `visited`) by `left` >= 2 edges into the
-    target mask `remaining`, recording the first path met to each target.
-    Returns the targets still unreached."""
+    target mask `remaining`. Records in `out` (when not None) the first path
+    met to each target, or with `every` each path met. Returns the targets
+    still unreached; with `every` no target counts as reached."""
     cand = adj[path[-1]] & masks[left - 1] & ~visited
     if left == 2:
         while cand:
@@ -134,44 +97,57 @@ def _walk(adj, masks, visited, path, left, remaining, out):
             hit = adj[w] & remaining & ~visited
             if not hit:
                 continue
-            remaining ^= hit
             if out is not None:
-                _record(out, (*path, w), hit)
-            if not remaining:
-                return 0
+                _record(out, (*path, w), hit, every)
+            if not every:
+                remaining ^= hit
+                if not remaining:
+                    return 0
         return remaining
     while cand:
         low = cand & -cand
         cand ^= low
         path.append(low.bit_length() - 1)
-        remaining = _walk(adj, masks, visited | low, path, left - 1, remaining, out)
+        remaining = _walk(adj, masks, visited | low, path, left - 1, remaining,
+                          out, every)
         path.pop()
         if not remaining:
             return 0
     return remaining
 
 
-def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
-    """For each vertex v of the mask `targets`, the lexicographically least
-    simple u-v path with exactly `length` edges and no inner vertex in
-    `banned`: the path ``least_path(adj, u, v, length, banned)`` returns, found
-    in one walk from u. Each path is stored as ``out[v]`` when `out` (a dict)
-    is given. Returns the mask of targets with no such path; u itself is
-    never reached."""
+def _paths(adj, u, length, targets, banned, out, every):
+    """The walk from u; returns the mask of targets it did not reach."""
     if not targets or not 0 < length < len(adj):
         return targets
     if length == 1:
         if out is not None:
-            _record(out, (u,), adj[u] & targets)
+            _record(out, (u,), adj[u] & targets, every)
         return targets & ~adj[u]
-    allowed = ~(banned | 1 << u)
-    masks = [targets]
-    for _ in range(2, length):
-        masks.append(_neighborhood(adj, masks[-1]) & allowed)
-    # u's neighbors are not tested against U[length-1]: their own
-    # candidates are, and that pass would cost more than it prunes
-    masks.append(allowed)
-    return _walk(adj, masks, 1 << u, [u], length, targets, out)
+    masks = _masks(adj, u, length, targets, banned)
+    return _walk(adj, masks, 1 << u, [u], length, targets, out, every)
+
+
+def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
+    """For each vertex v of the mask `targets`, the lexicographically least
+    simple u-v path with exactly `length` edges and no inner vertex in
+    `banned`, found in one walk from u. Each path is stored as ``out[v]``
+    when `out` (a dict) is given. Returns the mask of targets with no such
+    path; u itself is never reached."""
+    return _paths(adj, u, length, targets, banned, out, False)
+
+
+def least_path(adj, u, v, length, banned=0):
+    """Lexicographically least simple u-v path with exactly `length` edges and
+    no inner vertex in `banned`, as a vertex tuple, or None. With u == v it is
+    the least cycle of `length` edges through u, as a closed tuple (u, ..., u)."""
+    out = {}
+    if u != v:
+        least_paths(adj, u, length, 1 << v, banned, out)
+        return out.get(v)
+    if length >= 3:
+        least_paths(adj, u, length - 1, adj[u] & ~banned, banned, out)
+    return min(out.values()) + (u,) if out else None
 
 
 def all_paths(adj, u, v, length, banned=0) -> list:
@@ -179,14 +155,18 @@ def all_paths(adj, u, v, length, banned=0) -> list:
     `banned`, as vertex tuples in lexicographic order; with u == v, every cycle
     of `length` edges through u, once per direction, as closed tuples."""
     out = []
-    if (3 <= length <= len(adj)) if u == v else (0 < length < len(adj)):
-        _search(adj, u, v, length, banned, out)
+    if u != v:
+        _paths(adj, u, length, 1 << v, banned, out, True)
+    elif length >= 3:
+        _paths(adj, u, length - 1, adj[u] & ~banned, banned, out, True)
+        out = [(*p, u) for p in out]
     return out
 
 
 def has_path(adj, u, v, length) -> bool:
-    """True iff a simple path with exactly `length` edges joins u != v."""
-    return u != v and least_path(adj, u, v, length) is not None
+    """True iff a simple path with exactly `length` edges joins u != v (the
+    walk never reaches u itself)."""
+    return not least_paths(adj, u, length, 1 << v)
 
 
 def has_cycle(adj, k) -> bool:

@@ -415,6 +415,10 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     """
     if n < 1 or k < 3:
         raise SearchError("need n >= 1 and k >= 3")
+    if budget_nodes is not None and budget_nodes < 0:
+        raise SearchError(f"node budget {budget_nodes} is negative")
+    if budget_secs is not None and not budget_secs >= 0:
+        raise SearchError(f"time budget {budget_secs} is not a nonnegative number")
     start = time.monotonic()
     budget = _Budget(budget_nodes, budget_secs)
     result = SearchResult(n, k, None)

@@ -40,6 +40,13 @@ class TestConstruct:
         assert stdout == ""
         assert stderr.startswith("error: ") and "64" in stderr
 
+    def test_out_directory_is_usage_error(self, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "construct", "--n", "12",
+                                   "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+
 
 class TestCheck:
     def test_saturated_input(self, tmp_path, capsys):
@@ -88,6 +95,25 @@ class TestSearch:
                               "--out", str(tmp_path), "--budget-nodes", "30")
         assert code == EXIT_BUDGET
         assert "budget-exhausted" in stdout
+
+    def test_out_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, _, stderr = run(capsys, "search", "--n", "5", "--out", str(path))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: ")
+        assert path.read_text() == ""
+
+    @pytest.mark.parametrize("budget", [("--budget-nodes", "-3"),
+                                        ("--budget-secs", "-0.5"),
+                                        ("--budget-secs", "nan")])
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys, budget):
+        code, stdout, stderr = run(capsys, "search", "--n", "5",
+                                   "--out", str(tmp_path), *budget)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "budget" in stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_corpus_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SATFORGE_CORPUS", str(tmp_path / "corpus"))

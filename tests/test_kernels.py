@@ -1,12 +1,16 @@
 """The path search against a brute-force oracle.
 
 The reference enumerates the permutations of candidate inner vertices and keeps
-those that form a path, so it shares no code with the pruned search: witnesses
+those that form a path, so it shares no code with the pruned walk: witnesses
 must be the exact lexicographic minimum and path lists the exact sorted list.
-Each vertex paired with itself asks for the cycles through it.
+Each vertex paired with itself asks for the cycles through it. A second
+reference, a DFS toward one target pruned by that target's own walk masks,
+checks the many-target walk on inputs too large for the permutations.
 """
 
+import functools
 import itertools
+import operator
 import random
 import subprocess
 import sys
@@ -17,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import satforge
 from satforge import kernels
-from satforge.graph import Graph, GraphError, find_path, paths_between
+from satforge.graph import (Graph, GraphError, contains_cycle, find_path, paths_between,
+                            to_graph6)
 from satforge.saturation import check_saturated
 
 
@@ -96,11 +101,16 @@ def test_python_path_and_cycle_basics():
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1 | 1 << 5) is None
 
 
-def test_reach_masks_are_walk_endpoints():
+def test_walk_masks_are_walk_endpoints():
     g = Graph.path(5)  # 0-1-2-3-4
-    assert kernels.reach(g.adj, 4, 4) == [1 << 4, 1 << 3, 1 << 2 | 1 << 4, 1 << 1 | 1 << 3]
-    # inner vertices avoid the target and `banned`
-    assert kernels.reach(g.adj, 4, 4, banned=1 << 2) == [1 << 4, 1 << 3, 1 << 2 | 1 << 4, 0]
+    # one target: it never lies inside, and u's neighbors are pruned too
+    assert kernels._masks(g.adj, 0, 4, 1 << 4, 0) == [
+        1 << 4, 1 << 3, 1 << 2, 1 << 1 | 1 << 3]
+    # inner vertices avoid `banned`
+    assert kernels._masks(g.adj, 0, 4, 1 << 4, 1 << 2) == [1 << 4, 1 << 3, 0, 0]
+    # several targets: a target may be inner, and u's neighbors are not pruned
+    assert kernels._masks(g.adj, 0, 4, 1 << 3 | 1 << 4, 0) == [
+        1 << 3 | 1 << 4, 1 << 2 | 1 << 3 | 1 << 4, 0b11110, ~1]
 
 
 def test_least_path_matches_brute_force(path_table):
@@ -115,19 +125,47 @@ def test_least_path_matches_brute_force(path_table):
                 assert (got and got.vertices) == (want if u != v else None)
 
 
+def per_pair_least_path(adj, u, v, length, banned):
+    """The least u-v path (u != v) by a DFS toward v alone. It enters a
+    vertex w with j edges still to go only when w is in R[j], the vertices
+    with a walk of j edges to v whose inner vertices avoid `banned` and v."""
+    if not 0 < length < len(adj):
+        return None
+    if length == 1:
+        return (u, v) if adj[u] >> v & 1 else None
+    reach = [1 << v, adj[v]]
+    for _ in range(2, length):
+        inner = reach[-1] & ~(banned | 1 << v)
+        reach.append(functools.reduce(
+            operator.or_, (adj[x] for x in range(len(adj)) if inner >> x & 1), 0))
+
+    def extend(path, avoid, left):
+        cand = adj[path[-1]] & reach[left - 1] & ~avoid
+        for w in range(len(adj)):
+            if cand >> w & 1:
+                if left == 2:
+                    return (*path, w, v)
+                found = extend((*path, w), avoid | 1 << w, left - 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend((u,), banned | 1 << u | 1 << v, length)
+
+
 def per_target(adj, u, length, targets, banned):
-    """What least_paths must give: least_path to each target other than u,
-    and the mask of targets without a path (u among them)."""
+    """What least_paths must give: the per-pair least path to each target
+    other than u, and the mask of targets without a path (u among them)."""
     paths = {}
     for v in range(len(adj)):
         if targets >> v & 1 and v != u:
-            p = kernels.least_path(adj, u, v, length, banned)
+            p = per_pair_least_path(adj, u, v, length, banned)
             if p is not None:
                 paths[v] = p
     return paths, targets & ~sum(1 << v for v in paths)
 
 
-def test_least_paths_matches_least_path():
+def test_least_paths_matches_per_pair_search():
     rng = random.Random(0x1EA5)
     for g, banned in GRAPHS:
         full = (1 << g.n) - 1
@@ -196,6 +234,14 @@ def test_least_paths_edge_cases():
     out = {}
     assert kernels.least_paths(adj, 0, 3, 0b001000, 0b001010, out) == 0
     assert out == {3: (0, 5, 4, 3)}
+
+
+def test_per_pair_reference_matches_brute_force(path_table):
+    for i, (g, banned) in enumerate(GRAPHS):
+        for u, v in itertools.permutations(range(g.n), 2):
+            for length in LENGTHS:
+                want = min(avoiding(path_table[i, u, v, length], banned), default=None)
+                assert per_pair_least_path(g.adj, u, v, length, banned) == want
 
 
 def test_paths_between_matches_brute_force(path_table):
@@ -275,6 +321,24 @@ def c6_free_graphs(count=30, n_max=8, seed=0x5A7):
             g = g.without_edge(*rng.choice(g.edges()))
         out.append(g)
     return out
+
+
+def test_contains_cycle_witness_is_least_path_of_first_cycle_edge(path_table):
+    # the least (k-1)-path of the first edge, in edges() order, on a k-cycle
+    cases = [(g, lambda u, v, length, i=i: path_table[i, u, v, length])
+             for i, (g, _) in enumerate(GRAPHS)]
+    cases += [(g, functools.partial(brute_paths, g)) for g in c6_free_graphs()]
+    found = 0
+    for g, paths in cases:
+        for k in range(3, 8):
+            want = next((ps[0] for ps in (paths(u, v, k - 1) for u, v in g.edges())
+                         if ps), None)
+            got = contains_cycle(g, k)
+            assert (got and got.vertices) == want, (to_graph6(g), k)
+            if got is not None:
+                assert got.kind == "cycle" and got.validate(g)
+                found += 1
+    assert found
 
 
 def test_check_saturated_witness_is_least_five_path():
