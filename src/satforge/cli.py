@@ -1,13 +1,14 @@
 """Command-line front door: construct | check | search | audit | table.
 
 Exit codes: 0 success, 1 verdict failure, 2 usage error, 3 budget exhausted.
+Only `main` turns the library's typed input errors into `error: ...` on
+stderr and exit 2; the commands let them rise.
 All charge output is exact `p/q`; bound tables are integers.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,14 @@ from .construction import (
 from .discharging import STAGE1_NAMES, STAGE2_NAMES, audit as run_audit, render_stage_table
 from .graph import Graph6Error, GraphError, read_graph6_file, to_graph6
 from .saturation import PreconditionError, check_saturated
-from .search import SearchError, enumerate_saturated, save_result, summary_table
+from .search import (
+    RESULTS_DIR,
+    SearchError,
+    enumerate_saturated,
+    result_path,
+    save_result,
+    summary_table,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -28,6 +36,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 ALL_STAGES = STAGE1_NAMES + STAGE2_NAMES
+
+
+class InputError(ValueError):
+    """Command-line input that no command can use: a graph file with no
+    records, or an unknown stage name."""
 
 
 def _parse_range(text):
@@ -62,7 +75,7 @@ def build_parser():
     c = sub.add_parser("search", help="exhaustive minimum-saturation search")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, default=6)
-    c.add_argument("--out", type=Path, default=None, help="result directory")
+    c.add_argument("--out", type=Path, default=RESULTS_DIR, help="result directory")
     c.add_argument("--budget-nodes", type=int, default=None)
     c.add_argument("--budget-secs", type=float, default=None)
 
@@ -79,21 +92,13 @@ def build_parser():
 
 
 def cmd_construct(args):
-    try:
-        g, spec = build_construction(args.n)
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g, spec = build_construction(args.n)
     bound = upper_bound_edges(args.n)
     ok = g.edge_count == bound
     record = to_graph6(g)
     if args.out:
-        try:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(record + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(record + "\n")
     else:
         print(record)
     print(f"n={args.n} epsilon={spec.epsilon} edges={g.edge_count} "
@@ -102,29 +107,17 @@ def cmd_construct(args):
 
 
 def _read_graphs(path):
-    """The graph6 records in `path`; on a read error or an empty file, print
-    the error and return an empty list."""
-    try:
-        graphs = read_graph6_file(path)
-    except (OSError, Graph6Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return []
+    """The graph6 records in `path`; raises InputError when there are none."""
+    graphs = read_graph6_file(path)
     if not graphs:
-        print("error: no graphs in input", file=sys.stderr)
+        raise InputError("no graphs in input")
     return graphs
 
 
 def cmd_check(args):
-    graphs = _read_graphs(args.file)
-    if not graphs:
-        return EXIT_USAGE
     all_ok = True
-    for i, g in enumerate(graphs):
-        try:
-            rep = check_saturated(g, args.k)
-        except PreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for i, g in enumerate(_read_graphs(args.file)):
+        rep = check_saturated(g, args.k)
         line = f"graph {i}: n={g.n} m={g.edge_count} verdict={rep.verdict}"
         if rep.verdict == "not-free":
             line += " cycle=" + "-".join(map(str, rep.free_violation.vertices))
@@ -136,21 +129,13 @@ def cmd_check(args):
 
 
 def cmd_search(args):
-    try:
-        res = enumerate_saturated(args.n, args.k,
-                                  budget_nodes=args.budget_nodes,
-                                  budget_secs=args.budget_secs)
-    except SearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    outdir = args.out or Path(os.environ.get("SATFORGE_CORPUS", "search-results"))
+    # an --out that cannot be a directory fails here, not after the search
+    args.out.mkdir(parents=True, exist_ok=True)
+    res = enumerate_saturated(args.n, args.k,
+                              budget_nodes=args.budget_nodes,
+                              budget_secs=args.budget_secs)
     if res.graphs:
-        try:
-            path = save_result(res, outdir)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"wrote {path}")
+        print(f"wrote {save_result(res, args.out)}")
     print(summary_table([res]))
     if res.status == "budget-exhausted":
         return EXIT_BUDGET
@@ -160,15 +145,12 @@ def cmd_search(args):
 
 def cmd_audit(args):
     graphs = _read_graphs(args.file)
-    if not graphs:
-        return EXIT_USAGE
     stages = None
     if args.dump_stages:
         stages = [s.strip() for s in args.dump_stages.split(",") if s.strip()]
         bad = [s for s in stages if s not in ALL_STAGES]
         if bad:
-            print(f"error: unknown stages {bad}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InputError(f"unknown stages {bad}")
     all_ok = True
     for i, g in enumerate(graphs):
         try:
@@ -194,7 +176,6 @@ def cmd_audit(args):
 
 
 def cmd_table(args):
-    corpus = os.environ.get("SATFORGE_CORPUS")
     print(f"{'n':>4} {'lower':>6} {'upper':>6} {'edges':>6} {'sat':>5}")
     for n in args.n_range:
         try:
@@ -206,16 +187,11 @@ def cmd_table(args):
         except ConstructionError:
             edges = "-"
         exact = "-"
-        if corpus:
-            path = Path(corpus) / f"sat_{n}_6.g6"
-            if path.exists():
-                try:
-                    graphs = read_graph6_file(path)
-                except (OSError, Graph6Error) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
-                if graphs:
-                    exact = str(graphs[0].edge_count)
+        path = result_path(n, 6)  # where `satforge search --n N` writes
+        if path.exists():
+            graphs = read_graph6_file(path)
+            if graphs:
+                exact = str(graphs[0].edge_count)
         print(f"{n:>4} {lower_bound_edges(n):>6} {upper!s:>6} {edges:>6} {exact:>5}")
     return EXIT_OK
 
@@ -233,7 +209,12 @@ def main(argv=None):
         "audit": cmd_audit,
         "table": cmd_table,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (InputError, Graph6Error, ConstructionError, SearchError,
+            PreconditionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -367,18 +367,10 @@ def has_path(g: Graph, u, v, length) -> bool:
 
 def contains_cycle(g: Graph, k):
     """A witness k-cycle, or None: the least (k-1)-path joining the ends of
-    the first edge, in `edges()` order, that lies on a k-cycle.  That edge
-    is (u, v) for the least vertex u on any k-cycle, whose k-cycles use no
-    vertex below u, and the least v that a walk from u reaches, into u's
-    neighbors above u with the vertices below u banned."""
-    if k < 3 or k > g.n:
-        return None
-    for u in range(g.n - k + 1):
-        paths = {}
-        kernels.least_paths(g.adj, u, k - 1, g.adj[u] & -(2 << u), (1 << u) - 1, paths)
-        if paths:
-            return CyclePath(paths[min(paths)], "cycle")
-    return None
+    the first edge, in `edges()` order, that lies on a k-cycle
+    (`kernels.least_cycle`)."""
+    cycle = kernels.least_cycle(g.adj, k)
+    return CyclePath(cycle, "cycle") if cycle is not None else None
 
 
 def bfs_levels(g: Graph, root, max_level) -> LevelPartition:

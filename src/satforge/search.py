@@ -290,18 +290,17 @@ class _Budget:
     no k-cycle, augmented and labeled."""
 
     def __init__(self, nodes, secs):
-        self.nodes_left = nodes
+        self.nodes = nodes
         self.deadline = time.monotonic() + secs if secs is not None else None
         self.spent = 0
 
     def tick(self):
-        self.spent += 1
-        if self.nodes_left is not None:
-            self.nodes_left -= 1
-            if self.nodes_left < 0:
-                raise BudgetExhausted("node budget exhausted")
+        """Count one node, or raise BudgetExhausted without counting it."""
+        if self.nodes is not None and self.spent >= self.nodes:
+            raise BudgetExhausted("node budget exhausted")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhausted("time budget exhausted")
+        self.spent += 1
 
 
 def _degree_sum_passing(g):
@@ -462,11 +461,18 @@ def min_saturated_edges(n: int, k: int, **kw) -> int:
 # persistence
 # ---------------------------------------------------------------------------
 
+RESULTS_DIR = Path("search-results")  # relative to the working directory
+
+
+def result_path(n: int, k: int, outdir=RESULTS_DIR) -> Path:
+    """The file that holds the minimum C_k-saturated graphs on n vertices."""
+    return Path(outdir) / f"sat_{n}_{k}.g6"
+
+
 def save_result(result: SearchResult, outdir) -> Path:
-    """Write the minimum graphs as sat_{n}_{k}.g6 under `outdir`."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"sat_{result.n}_{result.k}.g6"
+    """Write the minimum graphs to `result_path` under `outdir`."""
+    path = result_path(result.n, result.k, outdir)
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_graph6_file(path, result.graphs)
     return path
 

@@ -16,6 +16,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """Run a command that must print nothing to stdout and fail with exit 2
+    and an `error: ` line; returns its stderr."""
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    return stderr
+
+
 class TestConstruct:
     def test_writes_file_and_reports(self, tmp_path, capsys):
         out = tmp_path / "g.g6"
@@ -30,22 +40,13 @@ class TestConstruct:
         assert "edges=16" in stdout
 
     def test_small_n_is_usage_error(self, capsys):
-        code, _, stderr = run(capsys, "construct", "--n", "8")
-        assert code == EXIT_USAGE
-        assert "9" in stderr
+        assert "9" in usage_error(capsys, "construct", "--n", "8")
 
     def test_large_n_is_usage_error(self, capsys):
-        code, stdout, stderr = run(capsys, "construct", "--n", "65")
-        assert code == EXIT_USAGE
-        assert stdout == ""
-        assert stderr.startswith("error: ") and "64" in stderr
+        assert "64" in usage_error(capsys, "construct", "--n", "65")
 
     def test_out_directory_is_usage_error(self, tmp_path, capsys):
-        code, stdout, stderr = run(capsys, "construct", "--n", "12",
-                                   "--out", str(tmp_path))
-        assert code == EXIT_USAGE
-        assert stdout == ""
-        assert stderr.startswith("error: ")
+        usage_error(capsys, "construct", "--n", "12", "--out", str(tmp_path))
 
 
 class TestCheck:
@@ -66,20 +67,20 @@ class TestCheck:
     def test_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("")
-        code, _, _ = run(capsys, "check", str(path))
-        assert code == EXIT_USAGE
+        assert "no graphs" in usage_error(capsys, "check", str(path))
 
     def test_missing_file(self, capsys):
-        code, _, _ = run(capsys, "check", "/nonexistent.g6")
-        assert code == EXIT_USAGE
+        usage_error(capsys, "check", "/nonexistent.g6")
+
+    def test_malformed_record(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        path.write_text("H?\n")  # truncated record
+        usage_error(capsys, "check", str(path))
 
     def test_short_cycle_length_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "in.g6"
         run(capsys, "construct", "--n", "9", "--out", str(path))
-        code, stdout, stderr = run(capsys, "check", str(path), "--k", "2")
-        assert code == EXIT_USAGE
-        assert stdout == ""
-        assert stderr.startswith("error: ") and "at least 3" in stderr
+        assert "at least 3" in usage_error(capsys, "check", str(path), "--k", "2")
 
 
 class TestSearch:
@@ -95,31 +96,37 @@ class TestSearch:
                               "--out", str(tmp_path), "--budget-nodes", "30")
         assert code == EXIT_BUDGET
         assert "budget-exhausted" in stdout
+        assert stdout.splitlines()[1].split()[-1] == "30"  # nodes tried
 
-    def test_out_file_is_usage_error(self, tmp_path, capsys):
+    def test_out_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking --out")
+
+        monkeypatch.setattr("satforge.cli.enumerate_saturated", no_search)
         path = tmp_path / "taken"
         path.write_text("")
-        code, _, stderr = run(capsys, "search", "--n", "5", "--out", str(path))
-        assert code == EXIT_USAGE
-        assert stderr.startswith("error: ")
+        usage_error(capsys, "search", "--n", "5", "--out", str(path))
         assert path.read_text() == ""
 
     @pytest.mark.parametrize("budget", [("--budget-nodes", "-3"),
                                         ("--budget-secs", "-0.5"),
                                         ("--budget-secs", "nan")])
     def test_negative_budget_is_usage_error(self, tmp_path, capsys, budget):
-        code, stdout, stderr = run(capsys, "search", "--n", "5",
-                                   "--out", str(tmp_path), *budget)
-        assert code == EXIT_USAGE
-        assert stdout == ""
-        assert stderr.startswith("error: ") and "budget" in stderr
+        stderr = usage_error(capsys, "search", "--n", "5",
+                             "--out", str(tmp_path), *budget)
+        assert "budget" in stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_corpus_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SATFORGE_CORPUS", str(tmp_path / "corpus"))
+    def test_beyond_labeler_is_usage_error(self, tmp_path, capsys):
+        stderr = usage_error(capsys, "search", "--n", "17",
+                             "--out", str(tmp_path))
+        assert "n <= 16" in stderr
+
+    def test_default_out_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code, _, _ = run(capsys, "search", "--n", "5", "--k", "3")
         assert code == EXIT_OK
-        assert (tmp_path / "corpus" / "sat_5_3.g6").exists()
+        assert (tmp_path / "search-results" / "sat_5_3.g6").exists()
 
 
 class TestAudit:
@@ -141,8 +148,11 @@ class TestAudit:
     def test_unknown_stage_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "g.g6"
         run(capsys, "construct", "--n", "9", "--out", str(path))
-        code, _, _ = run(capsys, "audit", str(path), "--dump-stages", "f9")
-        assert code == EXIT_USAGE
+        stderr = usage_error(capsys, "audit", str(path), "--dump-stages", "f9")
+        assert "f9" in stderr
+
+    def test_missing_file(self, capsys):
+        usage_error(capsys, "audit", "/nonexistent.g6")
 
     def test_t2_reduction_noted(self, tmp_path, capsys):
         path = tmp_path / "g11.g6"
@@ -167,6 +177,11 @@ class TestAudit:
 
 
 class TestTable:
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        # table reads ./search-results/, so a local one cannot change the rows
+        monkeypatch.chdir(tmp_path)
+
     def test_bounds_rows(self, capsys):
         code, stdout, _ = run(capsys, "table", "--n-range", "9..12")
         assert code == EXIT_OK
@@ -175,21 +190,30 @@ class TestTable:
         assert lines[1].split() == ["9", "10", "12", "12", "-"]
         assert lines[4].split() == ["12", "14", "16", "16", "-"]
 
-    def test_exact_column_from_corpus(self, tmp_path, capsys, monkeypatch):
+    def test_exact_column_from_corpus(self, tmp_path, capsys):
         from satforge.construction import build_construction
 
-        write_graph6_file(tmp_path / "sat_9_6.g6", [build_construction(9)[0]])
-        monkeypatch.setenv("SATFORGE_CORPUS", str(tmp_path))
+        (tmp_path / "search-results").mkdir()
+        write_graph6_file(tmp_path / "search-results" / "sat_9_6.g6",
+                          [build_construction(9)[0]])
         code, stdout, _ = run(capsys, "table", "--n-range", "9..9")
         assert code == EXIT_OK
         assert stdout.strip().splitlines()[1].split()[-1] == "12"
 
-    def test_malformed_corpus_file_is_usage_error(self, tmp_path, capsys,
-                                                  monkeypatch):
-        (tmp_path / "sat_9_6.g6").write_text("H?\n")  # truncated record
-        monkeypatch.setenv("SATFORGE_CORPUS", str(tmp_path))
-        code, _, stderr = run(capsys, "table", "--n-range", "9..9")
+    def test_exact_column_from_default_search(self, capsys):
+        assert run(capsys, "search", "--n", "7", "--k", "6")[0] == EXIT_OK
+        code, stdout, _ = run(capsys, "table", "--n-range", "7..9")
+        assert code == EXIT_OK
+        rows = [line.split() for line in stdout.strip().splitlines()[1:]]
+        assert rows[0] == ["7", "8", "-", "-", "10"]
+        assert [r[-1] for r in rows[1:]] == ["-", "-"]
+
+    def test_malformed_corpus_file_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "search-results").mkdir()
+        (tmp_path / "search-results" / "sat_9_6.g6").write_text("H?\n")
+        code, stdout, stderr = run(capsys, "table", "--n-range", "9..9")
         assert code == EXIT_USAGE
+        assert stdout.split() == ["n", "lower", "upper", "edges", "sat"]
         assert stderr.startswith("error: ")
 
     def test_beyond_max_vertices_has_no_edges(self, capsys):

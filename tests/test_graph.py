@@ -195,7 +195,7 @@ class TestCycles:
     def test_cycle_graph_has_only_its_length(self):
         g = Graph.cycle(6)
         assert contains_cycle(g, 6) is not None
-        for k in (3, 4, 5):
+        for k in (2, 3, 4, 5):
             assert contains_cycle(g, k) is None
 
 

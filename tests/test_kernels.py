@@ -96,6 +96,7 @@ def test_python_path_and_cycle_basics():
     assert not kernels.has_path(g.adj, 0, 0, 6)
     assert kernels.has_cycle(g.adj, 6)
     assert not kernels.has_cycle(g.adj, 5)
+    assert not kernels.has_cycle(g.adj, 2)  # an edge is not a 2-cycle
     assert kernels.least_path(g.adj, 0, 0, 6) == (0, 1, 2, 3, 4, 5, 0)
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1) == (0, 5, 4, 3)
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1 | 1 << 5) is None

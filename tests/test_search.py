@@ -242,6 +242,19 @@ class TestEnumeration:
         with pytest.raises(SearchError):
             min_saturated_edges(9, 6, budget_nodes=40)
 
+    @pytest.mark.parametrize("budget", [0, 30])
+    def test_budget_counts_only_tried_nodes(self, budget):
+        res = enumerate_saturated(9, 6, budget_nodes=budget)
+        assert res.status == "budget-exhausted"
+        assert res.nodes == budget
+
+    def test_node_budget_boundary(self, extremal9):
+        res = enumerate_saturated(9, 6, budget_nodes=10385)
+        assert res.status == "complete" and res.nodes == 10385
+        assert res.graphs == extremal9.graphs
+        res = enumerate_saturated(9, 6, budget_nodes=10384)
+        assert res.status == "budget-exhausted" and res.nodes == 10384
+
     def test_level_sizes_monotone_growth_prefix(self):
         res = enumerate_saturated(6, 3)
         assert res.level_sizes[0] == 1 and res.level_sizes[1] == 1
