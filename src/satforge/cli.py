@@ -1,14 +1,16 @@
 """Command-line front door: construct | check | search | audit | table.
 
-Exit codes: 0 success, 1 verdict failure, 2 usage error, 3 budget exhausted.
-Only `main` turns the library's typed input errors into `error: ...` on
-stderr and exit 2; the commands let them rise.
+Exit codes: 0 success, 1 verdict failure (or stdout closed by its reader),
+2 usage error, 3 budget exhausted.  Only `main` turns the library's typed
+input errors into `error: ...` on stderr and exit 2; the commands let them
+rise.
 All charge output is exact `p/q`; bound tables are integers.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .saturation import PreconditionError, check_saturated
 from .search import (
     RESULTS_DIR,
     SearchError,
+    check_search_args,
     enumerate_saturated,
     result_path,
     save_result,
@@ -129,7 +132,9 @@ def cmd_check(args):
 
 
 def cmd_search(args):
-    # an --out that cannot be a directory fails here, not after the search
+    # bad arguments leave no directory behind, and an --out that cannot be
+    # a directory fails here, not after the search
+    check_search_args(args.n, args.k, args.budget_nodes, args.budget_secs)
     args.out.mkdir(parents=True, exist_ok=True)
     res = enumerate_saturated(args.n, args.k,
                               budget_nodes=args.budget_nodes,
@@ -210,7 +215,15 @@ def main(argv=None):
         "table": cmd_table,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a reader that closed stdout shows up here
+        return code
+    except BrokenPipeError:
+        # not a usage error: exit 1 with stdout pointed at devnull, so that
+        # the flush at exit cannot fail again (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (InputError, Graph6Error, ConstructionError, SearchError,
             PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

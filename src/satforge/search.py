@@ -11,14 +11,16 @@ A levelwise edge-augmentation enumerator builds level m, one canonical
 representative per isomorphism class of C_k-free graphs with m edges, from
 level m-1.  A representative keeps its automorphisms.  Of its non-edges it
 tries only those whose new edge would have the largest degree sum in the
-child, the first test of McKay's canonical augmentation ("Isomorph-free
-exhaustive generation", 1998), decided from degrees alone; and of those
-only the least of each orbit its automorphisms generate (orbit pruning).
-Children are still deduped by canonical code, so a partial group costs
-speed, never a class.  Level graphs are C_k-free by construction, so the
-saturation test only looks for witnesses.  It runs from m = n-1 upward (a
-saturated graph is connected), so the first level holding a saturated graph
-gives sat(n, C_k).
+child, decided from degrees alone, and of those only the least of each
+orbit its automorphisms generate (orbit pruning).  A tried child is labeled
+only if its new edge also has the largest edge key, which refines the
+degree sum by the ends' degrees and neighbor-degree sums: the first test
+of McKay's canonical augmentation ("Isomorph-free exhaustive generation",
+1998), built from one pass over the parent.  Children are still deduped by
+canonical code, so a partial group costs speed, never a class.  Level
+graphs are C_k-free by construction, so the saturation test only looks for
+witnesses.  It runs from m = n-1 upward (a saturated graph is connected), so
+the first level holding a saturated graph gives sat(n, C_k).
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def _refine(adj, cells, masks, splitters):
     groups in descending order of that count vector, members in their old
     order.  Every cell lies inside one degree class, so two members' count
     vectors have the same sum, and descending count vectors order them
-    exactly as ascending sorted tuples of neighbor cell indices would.
+    exactly as ascending sorted tuples of neighbor cell indices would.  With
+    several splitters the vector is packed into one int, five bits a count:
+    a count is at most n - 1 <= 15, so descending ints order the groups as
+    descending vectors do.
 
     `splitters` are the masks of the cells that the last split created, in
     partition order, less the last group of each split cell.  Members of one
@@ -82,7 +87,9 @@ def _refine(adj, cells, masks, splitters):
             else:
                 for v in cell:
                     row = adj[v]
-                    sig = tuple([(row & m).bit_count() for m in splitters])
+                    sig = 0
+                    for m in splitters:
+                        sig = sig << 5 | (row & m).bit_count()
                     groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 continue
@@ -286,8 +293,8 @@ class SearchResult:
 class _Budget:
     """Node and wall-clock limits.  One node is one non-edge of a parent
     tried: one that passes the degree-sum test and is least in its orbit
-    among those that pass.  It is put to the k-cycle test and, if it closes
-    no k-cycle, augmented and labeled."""
+    among those that pass.  It is put to the rest of the edge-key test, then
+    to the k-cycle test and, if it passes both, augmented and labeled."""
 
     def __init__(self, nodes, secs):
         self.nodes = nodes
@@ -303,37 +310,102 @@ class _Budget:
         self.spent += 1
 
 
-def _degree_sum_passing(g):
-    """The non-edges uv of g, in `non_edges()` order, such that uv has the
-    largest degree sum in G+uv: with d' the degrees of G+uv,
-    d'(u) + d'(v) >= d'(x) + d'(y) for every edge xy.
+class _EdgeKeys:
+    """Which children G+uv of one parent G survive the edge-key test, from
+    one pass over G.
 
-    Let M be G's largest edge degree sum and nb(x) the largest degree of a
-    neighbor of x (0 if none).  uv is not an edge of G, so in G+uv an edge
-    ux has the sum d(u) + 1 + d(x), which is at most d(u) + d(v) + 2 iff
-    d(x) <= d(v) + 1, and an edge at neither u nor v keeps its sum.  So uv
-    passes iff M <= d(u) + d(v) + 2, nb(u) <= d(v) + 1 and
-    nb(v) <= d(u) + 1; for the edges at u or v, M asks less than the other
-    two tests."""
-    n, adj = g.n, g.adj
-    deg = [row.bit_count() for row in adj]
-    nb = [0] * n
-    for x, row in enumerate(adj):
-        while row:
-            low = row & -row
-            row ^= low
-            d = deg[low.bit_length() - 1]
-            if d > nb[x]:
-                nb[x] = d
-    top = max((d + b for d, b in zip(deg, nb)), default=0)  # M
-    out = []
-    for u in range(n):
-        du, row = deg[u], adj[u]
-        least = max(top - du - 2, nb[u] - 1)  # the smallest d(v) that passes
-        for v in range(u + 1, n):
-            if not row >> v & 1 and deg[v] >= least and nb[v] <= du + 1:
-                out.append((u, v))
-    return out
+    With d' the degrees of G+uv and s'(x) the sum of the d' of x's
+    neighbors, an edge xy of G+uv has the key (d'(x) + d'(y), larger end,
+    smaller end), each end compared as (d'(x), s'(x)).  The key depends only
+    on degrees and adjacency, so an isomorphism maps each edge to one with
+    the same key.  G+uv passes when no edge of G+uv has a larger key than
+    uv; ties pass.  The degree sum comes first, so every passing uv passes
+    `degree_sum_passing`; `largest` decides the rest of the key for those."""
+
+    def __init__(self, g):
+        n, adj = g.n, g.adj
+        deg = [row.bit_count() for row in adj]
+        nb = [0] * n  # largest degree of a neighbor, 0 if none
+        nbsum = [0] * n  # s: sum of the neighbors' degrees
+        of_degree = [0] * (n + 1)  # degree -> mask of the vertices with it
+        for x, row in enumerate(adj):
+            of_degree[deg[x]] |= 1 << x
+            total = best = 0
+            while row:
+                low = row & -row
+                row ^= low
+                d = deg[low.bit_length() - 1]
+                total += d
+                if d > best:
+                    best = d
+            nbsum[x], nb[x] = total, best
+        top = max((d + b for d, b in zip(deg, nb)), default=0)  # M
+        tops = []  # the edges xy, x < y, with the degree sum M
+        for x in range(n):
+            if deg[x] + nb[x] == top:
+                row = adj[x] & of_degree[nb[x]] & -(2 << x)  # the y > x
+                while row:
+                    low = row & -row
+                    row ^= low
+                    tops.append((x, low.bit_length() - 1))
+        self.n, self.adj, self.deg, self.nb = n, adj, deg, nb
+        self.nbsum, self.of_degree, self.top, self.tops = nbsum, of_degree, top, tops
+
+    def degree_sum_passing(self):
+        """The non-edges uv of G, in `non_edges()` order, such that uv has
+        the largest degree sum in G+uv: d'(u) + d'(v) >= d'(x) + d'(y) for
+        every edge xy.
+
+        Let M be G's largest edge degree sum and nb(x) the largest degree of
+        a neighbor of x.  uv is not an edge of G, so in G+uv an edge ux has
+        the sum d(u) + 1 + d(x), which is at most d(u) + d(v) + 2 iff
+        d(x) <= d(v) + 1, and an edge at neither u nor v keeps its sum.  So
+        uv passes iff M <= d(u) + d(v) + 2, nb(u) <= d(v) + 1 and
+        nb(v) <= d(u) + 1; for the edges at u or v, M asks less than the
+        other two tests."""
+        n, adj, deg, nb, top = self.n, self.adj, self.deg, self.nb, self.top
+        out = []
+        for u in range(n):
+            du, row = deg[u], adj[u]
+            least = max(top - du - 2, nb[u] - 1)  # the smallest d(v) that passes
+            for v in range(u + 1, n):
+                if not row >> v & 1 and deg[v] >= least and nb[v] <= du + 1:
+                    out.append((u, v))
+        return out
+
+    def largest(self, u, v):
+        """Whether uv has the largest key in G+uv, for a uv that passes
+        `degree_sum_passing`.
+
+        Only u and v change degree: d' = d + 1 on them, s'(u) = s(u) +
+        d(v) + 1, and s'(x) = s(x) + [x in N(u)] + [x in N(v)] for any other
+        x.  An edge can beat uv only by tying its degree sum S = d(u) +
+        d(v) + 2.  The edges that tie are the ux with d(x) = d(v) + 1, the vy
+        with d(y) = d(u) + 1, and, when M = S, G's edges of sum M (none of
+        them meets u or v, or uv would not pass).  ux shares the end u with
+        uv, so it beats uv iff its end x beats v; x and v have the same
+        degree in G+uv, so iff s'(x) > s'(v).  The same holds for vy."""
+        adj, deg, s = self.adj, self.deg, self.nbsum
+        du, dv = deg[u], deg[v]
+        su, sv = s[u] + dv + 1, s[v] + du + 1  # s'(u), s'(v)
+        for a, b, sb in ((u, v, sv), (v, u, su)):  # the ax that tie uv's sum
+            row = adj[a] & self.of_degree[deg[b] + 1]
+            while row:
+                low = row & -row
+                row ^= low
+                x = low.bit_length() - 1
+                if s[x] + 1 + (adj[b] >> x & 1) > sb:  # s'(x) > s'(b)
+                    return False
+        if self.top == du + dv + 2:
+            eu, ev = (du + 1, su), (dv + 1, sv)
+            key = (eu, ev) if eu > ev else (ev, eu)
+            au, av = adj[u], adj[v]
+            for x, y in self.tops:
+                ex = (deg[x], s[x] + (au >> x & 1) + (av >> x & 1))
+                ey = (deg[y], s[y] + (au >> y & 1) + (av >> y & 1))
+                if ((ex, ey) if ex > ey else (ey, ex)) > key:
+                    return False
+        return True
 
 
 def _orbit_leaders(n, pairs, generators):
@@ -367,21 +439,25 @@ def _next_level(level, k, budget):
     class, its automorphisms packed as n-byte permutations).
 
     A parent G first keeps the non-edges uv that have the largest degree sum
-    in G+uv (`_degree_sum_passing`), the cheap first test of McKay's
-    canonical augmentation, which needs no labeling.  Automorphisms preserve
-    degrees, so the kept non-edges are a union of orbits; G tries one of
-    each orbit under its known automorphisms, the least.  Only then is the
-    child tested for a k-cycle, built and labeled.  No class is lost, even
-    when the generators give only part of Aut(G):
+    in G+uv (`_EdgeKeys.degree_sum_passing`), which needs no orbit work.
+    Automorphisms preserve degrees, so the kept non-edges are a union of
+    orbits; G tries one of each orbit under its known automorphisms, the
+    least.  A tried uv must then have the largest edge key in G+uv
+    (`_EdgeKeys.largest`), as in McKay's canonical augmentation, and only
+    then is the child tested for a k-cycle, built and labeled.  The key is
+    invariant under isomorphism, so an orbit passes or fails as a whole.  No
+    class is lost, even when the generators give only part of Aut(G); the
+    argument holds for any edge key invariant under isomorphism:
 
     1. Take any C_k-free class C with m edges, and let d be an edge of C
-       with the largest degree sum.
+       with the largest key.
     2. C - d is C_k-free, so by induction level m-1 holds a representative
        P with an isomorphism phi: C - d -> P.
-    3. phi extends to an isomorphism C -> P + phi(d), and degree sums are
-       invariant, so phi(d) passes the degree-sum test on P.  A product h of
-       P's generators maps phi(d) to the leader e of its orbit among the
-       passing non-edges, so h is an automorphism of P with h(phi(d)) = e.
+    3. phi extends to an isomorphism C -> P + phi(d), and keys are
+       invariant, so phi(d) has the largest key in P + phi(d).  A product h
+       of P's generators maps phi(d) to the leader e of its orbit among the
+       non-edges that pass the degree-sum test, so h is an automorphism of
+       P with h(phi(d)) = e, and e has the largest key in P + e too.
     4. Then h.phi maps C onto P + e and d onto e, so P + e, being
        isomorphic to C, passes the C_k test.
 
@@ -389,8 +465,11 @@ def _next_level(level, k, budget):
     parents and their non-edges, so only the codes of a level are fixed."""
     out = {}
     for g, generators in level.values():
-        for u, v in _orbit_leaders(g.n, _degree_sum_passing(g), generators):
+        keys = _EdgeKeys(g)
+        for u, v in _orbit_leaders(g.n, keys.degree_sum_passing(), generators):
             budget.tick()
+            if not keys.largest(u, v):
+                continue  # another edge of the child has a larger key
             if k <= g.n and has_path(g, u, v, k - 1):
                 continue  # the new edge would close a k-cycle
             child = g.with_edge(u, v)
@@ -398,6 +477,19 @@ def _next_level(level, k, budget):
             if code not in out:
                 out[code] = (child, b"".join(child_generators))
     return out
+
+
+def check_search_args(n, k, budget_nodes, budget_secs):
+    """Raise SearchError unless `enumerate_saturated` can run on these
+    arguments; makes no graph and creates nothing."""
+    if n < 1 or k < 3:
+        raise SearchError("need n >= 1 and k >= 3")
+    if n > MAX_CANON_VERTICES:
+        raise SearchError(f"canonical labeling bounded to n <= {MAX_CANON_VERTICES}")
+    if budget_nodes is not None and budget_nodes < 0:
+        raise SearchError(f"node budget {budget_nodes} is negative")
+    if budget_secs is not None and not budget_secs >= 0:
+        raise SearchError(f"time budget {budget_secs} is not a nonnegative number")
 
 
 def enumerate_saturated(n: int, k: int, budget_nodes=None,
@@ -412,12 +504,7 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     complete, gives a non-empty next level.  The edge count cannot pass
     C(n, 2), so some level holds a saturated graph.
     """
-    if n < 1 or k < 3:
-        raise SearchError("need n >= 1 and k >= 3")
-    if budget_nodes is not None and budget_nodes < 0:
-        raise SearchError(f"node budget {budget_nodes} is negative")
-    if budget_secs is not None and not budget_secs >= 0:
-        raise SearchError(f"time budget {budget_secs} is not a nonnegative number")
+    check_search_args(n, k, budget_nodes, budget_secs)
     start = time.monotonic()
     budget = _Budget(budget_nodes, budget_secs)
     result = SearchResult(n, k, None)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import satforge
 from satforge.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -122,6 +128,13 @@ class TestSearch:
                              "--out", str(tmp_path))
         assert "n <= 16" in stderr
 
+    @pytest.mark.parametrize("bad", [("--n", "17"), ("--n", "5", "--k", "2"),
+                                     ("--n", "5", "--budget-nodes", "-3")])
+    def test_bad_arguments_leave_no_directory(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.chdir(tmp_path)
+        usage_error(capsys, "search", *bad)
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_out_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, _, _ = run(capsys, "search", "--n", "5", "--k", "3")
@@ -207,6 +220,19 @@ class TestTable:
         rows = [line.split() for line in stdout.strip().splitlines()[1:]]
         assert rows[0] == ["7", "8", "-", "-", "10"]
         assert [r[-1] for r in rows[1:]] == ["-", "-"]
+
+    def test_closed_stdout_is_not_a_usage_error(self):
+        # `satforge table ... | head -1`: the reader leaves after one line
+        env = dict(os.environ, PYTHONPATH=str(Path(satforge.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "satforge.cli", "table", "--n-range", "9..20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().split()[0] == b"n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_VERDICT
+        assert stderr == b""
 
     def test_malformed_corpus_file_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "search-results").mkdir()

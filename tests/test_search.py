@@ -9,7 +9,7 @@ from satforge.graph import Graph, from_graph6, has_path, read_graph6_file, to_gr
 from satforge.search import (
     SearchError,
     _Budget,
-    _degree_sum_passing,
+    _EdgeKeys,
     _Labeler,
     _next_level,
     _orbit_leaders,
@@ -92,6 +92,32 @@ def brute_isomorphic(a, b):
         if {tuple(sorted((perm[u], perm[v]))) for u, v in a.edges()} == target:
             return True
     return False
+
+
+def refine_by_count_tuples(adj, cells, masks, splitters):
+    """`search._refine` with each vertex's counts kept as a tuple."""
+    while splitters:
+        created = []
+        splits = []
+        for i, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in splitters)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                continue
+            parts = [groups[sig] for sig in sorted(groups, reverse=True)]
+            part_masks = [sum(1 << v for v in part) for part in parts]
+            created.extend(part_masks[:-1])
+            splits.append((i, parts, part_masks))
+        if not splits:
+            break
+        for i, parts, part_masks in reversed(splits):
+            cells[i:i + 1] = parts
+            masks[i:i + 1] = part_masks
+        splitters = created
 
 
 class TestCanonical:
@@ -183,6 +209,22 @@ class TestCanonical:
             vf2 = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
             assert group_order(g.n, generators) == vf2, to_graph6(g)
 
+    def test_packed_signatures_match_count_tuples(self, monkeypatch):
+        # dense graphs up to the labeler's cap put counts up to 15 in a field
+        rng = random.Random(0x5C)
+        graphs = []
+        for _ in range(150):
+            n = rng.randint(2, 16)
+            p = rng.uniform(0.1, 0.9)
+            pairs = itertools.combinations(range(n), 2)
+            graphs.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+        graphs += [make() for make, _ in SYMMETRIC.values()]
+        # counts of 8 and more, which a field narrower than 4 bits would carry
+        graphs += [from_graph6(c) for c in ("K}~|~|~~^|}~", "L^~~}z~}~~|~~v")]
+        packed = [canonical_form(g) for g in graphs]
+        monkeypatch.setattr("satforge.search._refine", refine_by_count_tuples)
+        assert [canonical_form(g) for g in graphs] == packed
+
     def test_automorphism_pruning_keeps_code_and_ordering(self, rng, monkeypatch):
         from tests.conftest import random_connected_graph
 
@@ -232,8 +274,35 @@ class TestEnumeration:
 
     def test_nodes_count_passing_orbit_leaders(self, extremal9):
         # one node per orbit leader among the non-edges that pass the
-        # degree-sum test (58,212 when every non-edge's leader counted)
+        # degree-sum test (58,212 when every non-edge's leader counted); the
+        # rest of the edge-key test comes after the count
         assert extremal9.nodes == 10385
+
+    def test_labelings_count_children_with_the_largest_key(self, monkeypatch):
+        # 7,605 calls when every child whose new edge had the largest degree
+        # sum was labeled
+        calls = []
+        label = canonical_form
+
+        def counted(g):
+            calls.append(g.n)
+            return label(g)
+
+        monkeypatch.setattr("satforge.search.canonical_form", counted)
+        assert enumerate_saturated(9, 6).min_edges == 12
+        assert len(calls) == 5595
+
+    def test_pinned_n10_search(self):
+        # the n = 10, C_6 run: answer, nodes and the per-level class counts
+        res = enumerate_saturated(10, 6)
+        assert res.status == "complete"
+        assert res.min_edges == 13 and len(res.graphs) == 2
+        assert res.nodes == 47510
+        assert res.level_sizes == {
+            0: 1, 1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 65, 7: 161, 8: 403,
+            9: 972, 10: 2138, 11: 4061, 12: 6014, 13: 6399}
+        assert sum(res.level_sizes.values()) == 20259
+        assert [to_graph6(g) for g in res.graphs] == ["II?C@SMDW", "I_l@?cE@W"]
 
     def test_budget_exhaustion(self):
         res = enumerate_saturated(9, 6, budget_nodes=40)
@@ -300,8 +369,9 @@ class TestEnumeration:
 
 
 def label_every_leader(level, k):
-    """One augmentation level without the degree-sum prefilter: every orbit
-    leader among all the non-edges that closes no k-cycle is labeled."""
+    """One augmentation level without the degree-sum or edge-key prefilter:
+    every orbit leader among all the non-edges that closes no k-cycle is
+    labeled."""
     out = {}
     for g, generators in level.values():
         for u, v in _orbit_leaders(g.n, g.non_edges(), generators):
@@ -326,12 +396,44 @@ class TestDegreeSumPrefilter:
                 d = child.degrees()
                 if all(d[u] + d[v] >= d[x] + d[y] for x, y in child.edges()):
                     want.append((u, v))
-            assert _degree_sum_passing(g) == want, g.edges()
+            assert _EdgeKeys(g).degree_sum_passing() == want, g.edges()
             kept += len(want)
             cut += len(g.non_edges()) - len(want)
         assert kept and cut
-        assert _degree_sum_passing(Graph(5, [0] * 5)) == Graph(5, [0] * 5).non_edges()
-        assert _degree_sum_passing(Graph.complete(5)) == []
+        empty = Graph(5, [0] * 5)
+        assert _EdgeKeys(empty).degree_sum_passing() == empty.non_edges()
+        assert _EdgeKeys(Graph.complete(5)).degree_sum_passing() == []
+
+    def test_edge_key_matches_recomputation_on_the_child(self, rng):
+        # the key of every edge of G+uv, from the child's own degrees and
+        # neighbor-degree sums; uv passes iff no edge's key is larger
+        from tests.conftest import random_connected_graph
+
+        def larger_edges(g, u, v):
+            child = g.with_edge(u, v)
+            d = child.degrees()
+            s = [sum(d[y] for y in child.neighbors(x)) for x in range(g.n)]
+
+            def key(x, y):
+                return (d[x] + d[y], *sorted([(d[x], s[x]), (d[y], s[y])], reverse=True))
+
+            return [(x, y) for x, y in child.edges() if key(x, y) > key(u, v)]
+
+        # 2-6 ties the degree sum of 3-7 and 5-7, which meet neither 2 nor
+        # 6, and loses to them at the larger end
+        far = Graph.from_edges(8, [(0, 7), (1, 7), (2, 4), (2, 5), (3, 6),
+                                   (3, 7), (4, 6), (5, 7)])
+        graphs = [far] + [random_connected_graph(rng, n_max=10) for _ in range(60)]
+        beaten_at = Counter()  # where the larger keys lay: at u, at v, elsewhere
+        for g in graphs:
+            keys = _EdgeKeys(g)
+            for u, v in keys.degree_sum_passing():
+                larger = larger_edges(g, u, v)
+                assert keys.largest(u, v) == (not larger), (g.edges(), u, v)
+                beaten_at[frozenset("u" if u in e else "v" if v in e else "other"
+                                    for e in larger)] += 1
+        for where in ((), ("u",), ("v",), ("other",)):
+            assert beaten_at[frozenset(where)], where
 
     def test_levels_match_labeling_every_leader(self):
         n = 8
