@@ -20,7 +20,7 @@ from .construction import lower_bound_edges
 from .graph import Graph, GraphError, LevelPartition, bfs_levels
 from .saturation import (
     PreconditionError,
-    degree_sum_check,
+    degree_sum_holds,
     good_roots,
     is_saturated_fast,
     t_sets,
@@ -31,6 +31,7 @@ from .saturation import (
 F = Fraction
 THIRD = F(1, 3)
 SIXTH = F(1, 6)
+TWO_THIRDS = F(2, 3)
 BASE = F(4, 3)
 
 STAGE1_NAMES = ("g", "g1", "g2", "g3", "g4", "g5")
@@ -54,11 +55,30 @@ class RootChoice:
 
 @dataclass
 class ChargeLedger:
+    """The charges of one audit, stage by stage, over a distance layering.
+
+    Level queries run on bitmasks: the ledger builds one vertex mask per
+    level once, from `partition.level_of`, so the level-i neighbors of x are
+    the bits of ``adj[x] & mask``.  They are listed in ascending order, on
+    which the order of transfers and of diagnostics depends.  Each stage's
+    sum outside V_1 is computed once, since no stage dict changes after it
+    is stored.
+    """
+
     graph: Graph
     partition: LevelPartition
     stages: dict = field(default_factory=dict)  # name -> {vertex: Fraction}
     classes: dict = field(default_factory=dict)  # vertex -> "-1"|"-2"|"1"|"2"
     diagnostics: list = field(default_factory=list)
+    _level_masks: dict = field(init=False, repr=False, compare=False)
+    _outer_sums: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        masks = {}
+        for v, i in enumerate(self.partition.level_of):
+            masks[i] = masks.get(i, 0) | 1 << v
+        self._level_masks = masks
+        self._outer_sums = {}  # stage name -> (its dict, the sum)
 
     # -- level helpers (levels are 1-based) --------------------------------
 
@@ -71,10 +91,16 @@ class ChargeLedger:
         return frozenset()
 
     def nbrs_at(self, x, i):
-        return [w for w in self.graph.neighbors(x) if self.level(w) == i]
+        mask = self.graph.adj[x] & self._level_masks.get(i, 0)
+        out = []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(low.bit_length() - 1)
+        return out
 
     def n_at(self, x, i):
-        return len(self.nbrs_at(x, i))
+        return (self.graph.adj[x] & self._level_masks.get(i, 0)).bit_count()
 
     def nbrs_class(self, x, i, tags):
         return [w for w in self.nbrs_at(x, i) if self.classes.get(w) in tags]
@@ -86,10 +112,14 @@ class ChargeLedger:
         return self.stages[stage][v]
 
     def outer_sum(self, stage):
-        v1 = self.level_set(1)
-        return sum(
-            (c for v, c in self.stages[stage].items() if v not in v1), F(0)
-        )
+        charges = self.stages[stage]
+        memo = self._outer_sums.get(stage)
+        if memo is None or memo[0] is not charges:
+            v1 = self.level_set(1)
+            memo = charges, sum(
+                (c for v, c in charges.items() if v not in v1), F(0))
+            self._outer_sums[stage] = memo
+        return memo[1]
 
     def flag(self, msg):
         self.diagnostics.append(msg)
@@ -200,7 +230,7 @@ def classify(ledger: ChargeLedger) -> ChargeLedger:
             base[v] = "-"
         elif c == SIXTH:
             base[v] = "1"
-        elif c >= F(2, 3):
+        elif c >= TWO_THIRDS:
             base[v] = "2"
         else:
             raise DischargeError(f"charge {c} at {v} outside the value grid")
@@ -391,7 +421,7 @@ def _split_exception(ledger, w, down):
                 if len(cands) > 1:
                     ledger.flag(f"ambiguous 2/3-1/3 split at {w}; least id wins")
                 za, zb = min(cands)
-                return [(za, F(2, 3)), (zb, F(1, 3))]
+                return [(za, TWO_THIRDS), (zb, THIRD)]
     if g.degree(w) == 3 and len(down) == 3:
         if all(ledger.classes.get(z) in MINUS for z in down):
             z1s = [z for z in down if n5minus(z) != 0]
@@ -555,12 +585,16 @@ class DischargeAudit:
 
 def _check_monotone(ledger, fail):
     seq = ["g5"] + list(STAGE2_NAMES)
+    stages = [ledger.stages[s] for s in seq]
     for v in range(ledger.graph.n):
         if ledger.level(v) < 2:
             continue
-        vals = [ledger.charge(s, v) for s in seq]
-        # nonnegativity is absorbing, and negatives never decrease
+        vals = [charges[v] for charges in stages]
+        # nonnegativity is absorbing, and negatives never decrease; a step
+        # that left v untouched kept its charge object and breaks neither
         for i in range(len(vals) - 1):
+            if vals[i] is vals[i + 1]:
+                continue
             if vals[i] >= 0 and vals[i + 1] < 0:
                 fail.append(f"sign monotonicity broken at {v} ({seq[i]}->{seq[i+1]})")
             if vals[i] < 0 and vals[i + 1] < vals[i]:
@@ -592,7 +626,7 @@ def _check_observations(ledger, fail):
             nminus1 = ledger.n_class(x, i - 1, ("-1",))
             nsame2 = ledger.n_class(x, i, ("2",))
             floor3 = (
-                F(2, 3) * ndown + THIRD * nplus + SIXTH * nminus1
+                TWO_THIRDS * ndown + THIRD * nplus + SIXTH * nminus1
                 + THIRD * nsame + SIXTH * nsame2 - BASE
             )
             if gs[x] < floor3:
@@ -675,7 +709,9 @@ def audit(g: Graph) -> DischargeAudit:
         ok = 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("delta>=3", n, e, ok, reduced_t2=removed)
     if delta == 2 and not good_roots(g):
-        ok = degree_sum_check(g) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
+        # g passed a saturation scan above and has minimum degree 2:
+        # degree_sum_check's preconditions hold without another scan
+        ok = degree_sum_holds(g) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("no-good-root", n, e, ok, reduced_t2=removed)
 
     rc = choose_root(g)

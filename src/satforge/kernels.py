@@ -36,10 +36,11 @@ and for cycles alike. With two edges to go, the targets adjacent to each
 surviving candidate are taken directly, without recursing.
 
 One target v is never an inner vertex of a path to v, so it is not allowed
-either, and u's neighbors are tested against U[length-1] too. With several
-targets, U[length-1] holds nearly every neighbor of u and building it costs
-more than it prunes, so u's neighbors are tested only through their own
-candidates.
+either, and every U[j] is built, up to the U[length-1] that u's neighbors
+are tested against. With several targets only U[1] is built, and every
+later mask is the set of allowed vertices. Such a superset of U[j] still
+cuts no answer and keeps the order; U[2] and beyond hold nearly every
+allowed vertex, so building them cost more than they pruned.
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ def _masks(adj, u, length, targets, banned):
     """U[0..length-1] for a walk of `length` >= 2 edges from u into the mask
     `targets` (see the module docstring)."""
     allowed = ~(banned | 1 << u)
-    single = not targets & (targets - 1)
-    if single:
-        allowed &= ~targets
+    if targets & (targets - 1):  # several targets: U[1] only
+        u1 = _neighborhood(adj, targets) & allowed
+        return [targets, u1] + [allowed] * (length - 2)
     masks = [targets]
-    for _ in range(2, length):
+    allowed &= ~targets
+    for _ in range(1, length):
         masks.append(_neighborhood(adj, masks[-1]) & allowed)
-    masks.append(_neighborhood(adj, masks[-1]) & allowed if single else allowed)
     return masks
 
 

@@ -174,11 +174,18 @@ def theta_classes(g: Graph) -> ThetaClassification:
 
 
 def degree_sum_check(g: Graph) -> bool:
-    """Degree-sum bound over X = V minus degree-2 vertices outside T_1."""
+    """Degree-sum bound over X = V minus degree-2 vertices outside T_1, for a
+    C_6-saturated graph of minimum degree 2."""
     if g.min_degree() != 2:
         raise PreconditionError("minimum degree must be 2")
     if not is_saturated_fast(g, 6):
         raise PreconditionError("graph is not C_6-saturated")
+    return degree_sum_holds(g)
+
+
+def degree_sum_holds(g: Graph) -> bool:
+    """`degree_sum_check` for a caller that has established its
+    preconditions; it runs no saturation scan."""
     ts = t_sets(g)
     x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in ts.t1)]
     return sum(g.degree(v) for v in x) >= 3 * len(x)

@@ -43,6 +43,12 @@ class BudgetExhausted(SearchError):
     """Raised internally when a node or time budget runs out mid-level."""
 
 
+class EmptyLevelError(RuntimeError):
+    """An internal error, not a usage error: an augmentation level came out
+    empty, which the completeness argument of `enumerate_saturated` rules
+    out, so classes were lost."""
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -502,7 +508,8 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     no saturated graph holds C_k-free graphs that are not saturated, so each
     has a non-edge that closes no k-cycle, and `_next_level`, being
     complete, gives a non-empty next level.  The edge count cannot pass
-    C(n, 2), so some level holds a saturated graph.
+    C(n, 2), so some level holds a saturated graph.  An empty level would
+    mean lost classes; it raises `EmptyLevelError`.
     """
     check_search_args(n, k, budget_nodes, budget_secs)
     start = time.monotonic()
@@ -521,6 +528,10 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
         while result.min_edges is None:
             m += 1
             level = _next_level(level, k, budget)
+            if not level:
+                # every later level would be empty too, and with no node to
+                # tick no budget would end the loop
+                raise EmptyLevelError(f"level m = {m} is empty: classes were lost")
             result.level_sizes[m] = len(level)
             if m >= m_low:
                 # level graphs are C_k-free by construction: only the

@@ -14,6 +14,7 @@ from satforge.cli import (
     main,
 )
 from satforge.graph import Graph, read_graph6_file, to_graph6, write_graph6_file
+from satforge.search import EmptyLevelError
 
 
 def run(capsys, *argv):
@@ -134,6 +135,13 @@ class TestSearch:
         monkeypatch.chdir(tmp_path)
         usage_error(capsys, "search", *bad)
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_level_is_not_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # an internal error leaves main as a traceback (exit 1), not exit 2
+        monkeypatch.setattr("satforge.search._next_level", lambda level, k, budget: {})
+        with pytest.raises(EmptyLevelError, match="m = 1"):
+            main(["search", "--n", "9", "--out", str(tmp_path), "--budget-secs", "5"])
+        assert capsys.readouterr() == ("", "")
 
     def test_default_out_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

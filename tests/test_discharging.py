@@ -1,11 +1,16 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from satforge import kernels
 from satforge.construction import build_construction
 from satforge.discharging import (
+    MINUS,
+    PLUS,
+    _check_monotone,
     _four_cycles_through,
     audit,
     charge_identity_holds,
@@ -36,6 +41,36 @@ def brute_four_cycle_diagonals(g, u):
             if all(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
                 count += (not g.has_edge(a, b)) + (not g.has_edge(c, d))
     return count
+
+
+def _process_graphs():
+    """The 40 graphs of the random C_6-saturation process, n = 9..14."""
+    rng = random.Random(0x6C)
+    return [c6_saturation_process(rng, 9 + i % 6) for i in range(40)]
+
+
+def _pinned_graphs():
+    return [build_construction(n)[0] for n in range(9, 41)] + _process_graphs()
+
+
+# audit_digest(_pinned_graphs()); a change to any charge, its type, the
+# order of transfers, a check or a diagnostic moves it
+AUDIT_DIGEST = "4b4bb83aa459b4e37c693fb13c628362b161ef4288c77f970da784b8ecbfd244"
+
+
+def audit_digest(graphs):
+    """sha256 over each audit's branch, failures, diagnostics and V_1 sum and
+    every stage dict of its ledger, each charge as its exact string and its
+    type name."""
+    h = hashlib.sha256()
+    for g in graphs:
+        a = audit(g)
+        h.update(repr((a.branch, a.failures, a.diagnostics, str(a.v1_sum))).encode())
+        if a.ledger is not None:
+            for name, charges in a.ledger.stages.items():
+                h.update(repr((name, [(v, str(c), type(c).__name__)
+                                      for v, c in charges.items()])).encode())
+    return h.hexdigest()
 
 
 def _pipeline(g):
@@ -109,6 +144,27 @@ class TestInitialCharge:
         assert set(ledger.classes.values()) <= {"-1", "-2", "1", "2"}
 
 
+class TestLevelQueries:
+    def test_match_the_neighbor_list_definitions(self):
+        tag_sets = [(t,) for t in ("-1", "-2", "1", "2")] + [MINUS, PLUS, MINUS + PLUS]
+        checked = 0
+        for g in _pinned_graphs():
+            led = audit(g).ledger
+            if led is None:
+                continue
+            for x in range(led.graph.n):
+                for i in range(led.partition.depth + 2):
+                    want = [w for w in led.graph.neighbors(x) if led.level(w) == i]
+                    assert led.nbrs_at(x, i) == want
+                    assert led.n_at(x, i) == len(want)
+                    for tags in tag_sets:
+                        cls = [w for w in want if led.classes.get(w) in tags]
+                        assert led.nbrs_class(x, i, tags) == cls
+                        assert led.n_class(x, i, tags) == len(cls)
+            checked += 1
+        assert checked == 64
+
+
 class TestFrozenFixture:
     """Hand-computed ledger for the 9-vertex core, rooted at the pendant-path
     end a0 (id 6)."""
@@ -133,6 +189,27 @@ class TestFrozenFixture:
         _, ledger = _pipeline(g)
         assert ledger.outer_sum("g") == F(2)
         assert ledger.outer_sum("f7") == F(2)
+
+    def test_outer_sum_follows_a_replaced_stage(self):
+        g, _ = build_construction(9)
+        _, ledger = _pipeline(g)
+        assert ledger.outer_sum("g5") == F(2)
+        ledger.stages["g5"] = {v: c + 1 for v, c in ledger.stages["g5"].items()}
+        assert ledger.outer_sum("g5") == F(2) + g.n - len(ledger.level_set(1))
+
+    def test_monotone_check_compares_every_changed_value(self):
+        g, _ = build_construction(9)
+        _, ledger = _pipeline(g)
+        assert ledger.level(1) >= 2 and ledger.stages["g5"][1] >= 0
+        fail = []
+        _check_monotone(ledger, fail)
+        assert fail == []
+        st = ledger.stages
+        st["f1"] = {**st["f1"], 1: F(-1, 6)}
+        st["f2"] = {**st["f2"], 1: F(-1, 3)}
+        _check_monotone(ledger, fail)
+        assert fail == ["sign monotonicity broken at 1 (g5->f1)",
+                        "negative charge sank at 1 (f1->f2)"]
 
     def test_render_table(self):
         g, _ = build_construction(9)
@@ -179,9 +256,8 @@ class TestAudit:
     def test_random_saturation_process(self):
         # `passed` is not asserted: some of these graphs fail the weak
         # conditional bound check, an open question about its transcription
-        rng = random.Random(0x6C)
-        for i in range(40):
-            a = audit(c6_saturation_process(rng, 9 + i % 6))
+        for g in _process_graphs():
+            a = audit(g)
             assert a.branch in ("full", "no-good-root", "delta>=3")
             assert a.final_bound_ok
             if a.branch != "full":
@@ -199,6 +275,24 @@ class TestAudit:
             assert all(f["f1"][w] == 0 for w in led.level_set(5))
             assert all(f["f3"][z] == 0 for z in led.level_set(4) if f["f2"][z] >= 0)
             assert all(f["f7"][y] == 0 for y in led.level_set(3) if f["f6"][y] >= 0)
+
+    def test_no_good_root_branch_adds_no_scan(self, monkeypatch):
+        scans = []
+        scan = kernels.saturation_scan
+        monkeypatch.setattr(kernels, "saturation_scan",
+                            lambda adj, k: scans.append(adj) or scan(adj, k))
+        seen = 0
+        for g in _pinned_graphs():
+            scans.clear()
+            a = audit(g)
+            if a.branch == "no-good-root":
+                # the input scan, and the post-T_2 scan when T_2 is not empty
+                assert len(scans) == 1 + bool(a.reduced_t2)
+                seen += 1
+        assert seen == 5
+
+    def test_pinned_digest(self):
+        assert audit_digest(_pinned_graphs()) == AUDIT_DIGEST
 
     def test_non_saturated_rejected(self):
         with pytest.raises(PreconditionError):

@@ -109,9 +109,10 @@ def test_walk_masks_are_walk_endpoints():
         1 << 4, 1 << 3, 1 << 2, 1 << 1 | 1 << 3]
     # inner vertices avoid `banned`
     assert kernels._masks(g.adj, 0, 4, 1 << 4, 1 << 2) == [1 << 4, 1 << 3, 0, 0]
-    # several targets: a target may be inner, and u's neighbors are not pruned
+    # several targets: a target may be inner, only U[1] is built, and u's
+    # neighbors are not pruned
     assert kernels._masks(g.adj, 0, 4, 1 << 3 | 1 << 4, 0) == [
-        1 << 3 | 1 << 4, 1 << 2 | 1 << 3 | 1 << 4, 0b11110, ~1]
+        1 << 3 | 1 << 4, 1 << 2 | 1 << 3 | 1 << 4, ~1, ~1]
 
 
 def test_least_path_matches_brute_force(path_table):
@@ -180,6 +181,18 @@ def test_least_paths_matches_per_pair_search():
                         missed = kernels.least_paths(g.adj, u, length, targets, ban, out)
                         assert (out, missed) == per_target(g.adj, u, length, targets, ban)
                         assert kernels.least_paths(g.adj, u, length, targets, ban) == missed
+
+
+def test_least_paths_matches_per_pair_search_on_the_family(family):
+    # the certificate's query: every non-edge above u, on graphs larger
+    # than the random ones
+    for g in family.values():
+        for u in range(g.n):
+            targets = kernels.non_neighbors_above(g.adj, u)
+            for length in (4, 5, 6):
+                out = {}
+                missed = kernels.least_paths(g.adj, u, length, targets, 0, out)
+                assert (out, missed) == per_target(g.adj, u, length, targets, 0)
 
 
 def test_least_paths_against_brute_force(path_table):

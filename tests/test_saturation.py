@@ -125,3 +125,7 @@ class TestDegreeSum:
         with pytest.raises(PreconditionError):
             degree_sum_check(Graph.star(5))
 
+    def test_saturation_precondition(self):
+        # minimum degree 2, but no non-edge of C_5 closes a 6-cycle
+        with pytest.raises(PreconditionError):
+            degree_sum_check(Graph.cycle(5))

@@ -5,8 +5,10 @@ from collections import Counter
 import networkx as nx
 import pytest
 
+from satforge import search
 from satforge.graph import Graph, from_graph6, has_path, read_graph6_file, to_graph6
 from satforge.search import (
+    EmptyLevelError,
     SearchError,
     _Budget,
     _EdgeKeys,
@@ -323,6 +325,12 @@ class TestEnumeration:
         assert res.graphs == extremal9.graphs
         res = enumerate_saturated(9, 6, budget_nodes=10384)
         assert res.status == "budget-exhausted" and res.nodes == 10384
+
+    def test_empty_level_raises_at_once(self, monkeypatch):
+        # a level that lost every class: neither budget would end the loop
+        monkeypatch.setattr(search, "_next_level", lambda level, k, budget: {})
+        with pytest.raises(EmptyLevelError, match="m = 1"):
+            enumerate_saturated(9, 6, budget_nodes=10**6, budget_secs=5)
 
     def test_level_sizes_monotone_growth_prefix(self):
         res = enumerate_saturated(6, 3)
