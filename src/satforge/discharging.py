@@ -531,7 +531,7 @@ def _stage2_step7(ledger, f6):
         if f7[x] >= need:
             f7[x] -= need
             for v in debts:
-                f7[v] = 0
+                f7[v] = F(0)
                 funded.add(v)
         else:
             ledger.flag(f"stage-two step 7: vertex {x} cannot cover {need}")

@@ -9,6 +9,7 @@ word. Graphs are immutable; every mutator returns a new instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import kernels
 
@@ -78,6 +79,10 @@ class Graph:
 
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, so loaded rows are checked
+        return (Graph, (self.n, self.adj))
 
     # -- constructors ------------------------------------------------------
 
@@ -204,22 +209,36 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class CyclePath:
+class _CyclePathFields(NamedTuple):
+    vertices: tuple
+    kind: str  # "cycle" | "path"
+
+
+class CyclePath(_CyclePathFields):
     """A concrete simple path or cycle, given as its vertex sequence.
 
     `length` counts edges: for a path it is len(vertices)-1, for a cycle
     len(vertices) (the closing edge last->first is implied).
+
+    A named tuple: it compares equal to the plain tuple (vertices, kind),
+    has len 2 and unpacks. The constructor checks the kind and that no
+    vertex repeats; `_trusted` skips both for paths the kernel returns,
+    which are simple by construction.
     """
 
-    vertices: tuple
-    kind: str  # "cycle" | "path"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("cycle", "path"):
-            raise GraphError(f"bad kind {self.kind!r}")
-        if len(set(self.vertices)) != len(self.vertices):
+    def __new__(cls, vertices, kind):
+        if kind not in ("cycle", "path"):
+            raise GraphError(f"bad kind {kind!r}")
+        if len(set(vertices)) != len(vertices):
             raise GraphError("repeated vertex")
+        return tuple.__new__(cls, (vertices, kind))
+
+    @classmethod
+    def _trusted(cls, vertices, kind):
+        """A witness from a kernel path, without `__new__`'s checks."""
+        return tuple.__new__(cls, (vertices, kind))
 
     @property
     def length(self):
@@ -351,14 +370,14 @@ def paths_between(g: Graph, u, v, length) -> list:
     vertex sequence."""
     if u == v:
         raise GraphError("path endpoints must differ")
-    return [CyclePath(p, "path") for p in kernels.all_paths(g.adj, u, v, length)]
+    return [CyclePath._trusted(p, "path") for p in kernels.all_paths(g.adj, u, v, length)]
 
 
 def find_path(g: Graph, u, v, length, banned=0):
     """Lexicographically least simple u-v path with `length` edges and no
     inner vertex in `banned`, or None (always None when u == v)."""
     p = None if u == v else kernels.least_path(g.adj, u, v, length, banned)
-    return None if p is None else CyclePath(p, "path")
+    return None if p is None else CyclePath._trusted(p, "path")
 
 
 def has_path(g: Graph, u, v, length) -> bool:
@@ -370,7 +389,7 @@ def contains_cycle(g: Graph, k):
     the first edge, in `edges()` order, that lies on a k-cycle
     (`kernels.least_cycle`)."""
     cycle = kernels.least_cycle(g.adj, k)
-    return CyclePath(cycle, "cycle") if cycle is not None else None
+    return CyclePath._trusted(cycle, "cycle") if cycle is not None else None
 
 
 def bfs_levels(g: Graph, root, max_level) -> LevelPartition:

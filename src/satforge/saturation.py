@@ -54,6 +54,7 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
         return SaturationReport(k, False, violation, {}, "not-free")
     witnesses = {}
     missing = None
+    trusted = CyclePath._trusted
     for u in range(g.n):
         paths = {}
         missed = kernels.least_paths(g.adj, u, k - 1,
@@ -61,7 +62,7 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
         if missed and missing is None:
             missing = (u, (missed & -missed).bit_length() - 1)
         for v in sorted(paths):
-            witnesses[(u, v)] = CyclePath(paths[v], "cycle")
+            witnesses[(u, v)] = trusted(paths[v], "cycle")
     if missing is not None:
         return SaturationReport(k, True, None, witnesses, "missing-witness", missing)
     return SaturationReport(k, True, None, witnesses, "saturated")

@@ -56,6 +56,12 @@ def c6_saturation_process(rng, n):
     return g
 
 
+def process_graphs():
+    """The 40 graphs of the random C_6-saturation process, n = 9..14."""
+    rng = random.Random(0x6C)
+    return [c6_saturation_process(rng, 9 + i % 6) for i in range(40)]
+
+
 @pytest.fixture()
 def rng():
     return random.Random(0xC6)

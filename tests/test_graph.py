@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satforge.graph import (
+    CyclePath,
     Graph,
     Graph6Error,
     GraphError,
@@ -102,6 +103,24 @@ class TestBasics:
     def test_non_edges_complement(self):
         g = Graph.cycle(5)
         assert len(g.non_edges()) + g.edge_count == 10
+
+
+class TestCyclePath:
+    def test_constructor_checks_kind_and_repeats(self):
+        with pytest.raises(GraphError):
+            CyclePath((0, 0), "path")
+        with pytest.raises(GraphError):
+            CyclePath((0, 1), "loop")
+
+    def test_repr_and_tuple_behaviour(self):
+        cyc = CyclePath((0, 1, 2), "cycle")
+        assert repr(cyc) == "CyclePath(vertices=(0, 1, 2), kind='cycle')"
+        assert cyc == ((0, 1, 2), "cycle")
+        vertices, kind = cyc
+        assert (vertices, kind, len(cyc), cyc.length) == ((0, 1, 2), "cycle", 2, 3)
+        assert CyclePath((0, 1, 2), "path").length == 2
+        with pytest.raises(AttributeError):
+            cyc.kind = "path"
 
 
 class TestGraph6:

@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from satforge.construction import build_construction
-from satforge.graph import Graph
+from satforge.graph import CyclePath, Graph
 from satforge.saturation import (
     BookkeepingError,
     PreconditionError,
@@ -14,6 +17,7 @@ from satforge.saturation import (
     theta_classes,
 )
 from satforge.search import are_isomorphic
+from tests.conftest import process_graphs
 
 
 class TestCheckSaturated:
@@ -45,6 +49,30 @@ class TestCheckSaturated:
         for cyc in rep.witnesses.values():
             gplus = g.with_edge(cyc.vertices[0], cyc.vertices[-1])
             cyc.validate(gplus)
+
+    def test_witnesses_are_closing_six_cycles(self, family):
+        # witnesses skip the CyclePath constructor's checks, so check here
+        # what it would have: kind, length, distinct vertices; and that
+        # each closes its non-edge
+        for g in list(family.values()) + process_graphs():
+            rep = check_saturated(g, 6)
+            assert rep.saturated
+            for (u, v), cyc in rep.witnesses.items():
+                assert type(cyc) is CyclePath
+                assert cyc.kind == "cycle" and cyc.length == 6
+                assert len(set(cyc.vertices)) == 6
+                assert {cyc.vertices[0], cyc.vertices[-1]} == {u, v}
+                assert cyc.validate(g.with_edge(u, v))
+
+    def test_graph_and_report_survive_pickle_and_deepcopy(self):
+        g, _ = build_construction(9)
+        rep = check_saturated(g, 6)
+        assert rep.witnesses
+        for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy):
+            assert clone(g) == g
+            assert clone(rep) == rep
+            assert list(clone(rep).witnesses) == list(rep.witnesses)
+            assert type(next(iter(clone(rep).witnesses.values()))) is CyclePath
 
     def test_to_lines_format(self):
         rep = check_saturated(Graph.star(4), 3)
