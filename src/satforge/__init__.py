@@ -9,7 +9,7 @@ from .graph import Graph, CyclePath, LevelPartition, from_graph6, to_graph6
 from .saturation import SaturationReport, check_saturated, is_saturated_fast
 from .construction import build_construction, lower_bound_edges, upper_bound_edges
 from .discharging import DischargeAudit, audit
-from .search import SearchResult, enumerate_saturated, min_saturated_edges
+from .search import SearchResult, enumerate_saturated
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,5 @@ __all__ = [
     "audit",
     "SearchResult",
     "enumerate_saturated",
-    "min_saturated_edges",
     "__version__",
 ]

@@ -160,7 +160,7 @@ def cmd_audit(args):
     for i, g in enumerate(graphs):
         try:
             a = run_audit(g)
-        except (PreconditionError, GraphError) as exc:
+        except GraphError as exc:
             print(f"graph {i}: audit error: {exc}")
             all_ok = False
             continue

@@ -21,17 +21,6 @@ _CORE_EDGES = (
     ("a0", "b0"), ("b0", "c0"),
 )
 
-# Six witness families certifying the cross-path non-edges; each template is
-# the cycle closed by the named non-edge (first and last entries).
-WITNESS_TEMPLATES = (
-    ("a{i}", "b{i}", "c{i}", "x2", "x1", "a{j}"),
-    ("a{i}", "b{i}", "c{i}", "x2", "c{j}", "b{j}"),
-    ("a{i}", "x1", "y2", "y3", "x2", "c{j}"),
-    ("b{i}", "a{i}", "x1", "x2", "c{j}", "b{j}"),
-    ("b{i}", "a{i}", "x1", "a{j}", "b{j}", "c{j}"),
-    ("c{i}", "b{i}", "a{i}", "x1", "x2", "c{j}"),
-)
-
 
 class ConstructionError(GraphError):
     pass
@@ -108,39 +97,3 @@ def upper_bound_edges(n: int) -> int:
 def lower_bound_edges(n: int) -> int:
     """ceil(4n/3) - 2."""
     return -(-4 * n // 3) - 2
-
-
-def witness_paths_ok(n: int) -> bool:
-    """Validate every cross-path witness template at this n."""
-    g, spec = build_construction(n)
-    lab = spec.labels
-    idxs = [0] + list(range(1, spec.t - 2))
-    for i_pos, i in enumerate(idxs):
-        for j in idxs[i_pos + 1:]:
-            for tmpl in WITNESS_TEMPLATES:
-                verts = [lab[s.format(i=i, j=j)] for s in tmpl]
-                if g.has_edge(verts[0], verts[-1]):
-                    return False
-                for a, b in zip(verts, verts[1:]):
-                    if not g.has_edge(a, b):
-                        return False
-    return True
-
-
-def verify_construction(ns) -> list:
-    """Per-n report rows: edge formula, saturation, and lower-bound sanity."""
-    rows = []
-    for n in ns:
-        g, spec = build_construction(n)
-        bound = upper_bound_edges(n)
-        report = check_saturated(g, 6)
-        rows.append({
-            "n": n,
-            "epsilon": spec.epsilon,
-            "edges": g.edge_count,
-            "bound": bound,
-            "edges_ok": g.edge_count == bound,
-            "saturated": report.saturated,
-            "lower_ok": g.edge_count >= lower_bound_edges(n),
-        })
-    return rows

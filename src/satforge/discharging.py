@@ -169,10 +169,10 @@ def choose_root(g: Graph) -> RootChoice:
         roots = good_roots(g)
         if not roots:
             raise PreconditionError("no good root")
-        theta = theta_classes(g)
-        alpha = min(roots, key=lambda v: (theta.classes[v], v))
-        rationale = f"good-root-class-{theta.classes[alpha]}"
-        if theta.classes[alpha] == 5:
+        classes = theta_classes(g)
+        alpha = min(roots, key=lambda v: (classes[v], v))
+        rationale = f"good-root-class-{classes[alpha]}"
+        if classes[alpha] == 5:
             rationale += "-fallback"
     return RootChoice(alpha, delta, rationale)
 
@@ -567,13 +567,6 @@ class DischargeAudit:
     final_bound_ok: bool
     reduced_t2: int = 0
     v1_sum: Fraction | None = None
-    v1_sum_ok: bool | None = None
-    monotone_sign_ok: bool | None = None
-    class_bounds_ok: bool | None = None
-    v4_debt_ok: bool | None = None
-    v3_debt_ok: bool | None = None
-    final_nonneg_ok: bool | None = None
-    outer_sum_nonneg: bool | None = None
     failures: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     ledger: ChargeLedger | None = field(default=None, repr=False)
@@ -652,35 +645,28 @@ def _check_observations(ledger, fail):
                 fail.append(f"weak conditional bound violated at {x}")
 
 
-def _check_theorems(ledger, audit):
+def _check_theorems(ledger, fail):
     f5 = ledger.stages["f5"]
     f7 = ledger.stages["f7"]
 
     def n4_neg(y):
         return sum(1 for z in ledger.nbrs_at(y, 4) if f5[z] < 0)
 
-    audit.v4_debt_ok = True
-    audit.v3_debt_ok = True
-    audit.final_nonneg_ok = True
     for x in ledger.level_set(2):
         tot = sum(n4_neg(y) for y in ledger.nbrs_at(x, 3))
         if tot > 1:
-            audit.v4_debt_ok = False
-            audit.failures.append(f"level-4 debt bound violated at {x}: {tot}")
+            fail.append(f"level-4 debt bound violated at {x}: {tot}")
         neg3 = [y for y in ledger.nbrs_at(x, 3) if f5[y] < 0]
         if len(neg3) > 1:
-            audit.v3_debt_ok = False
-            audit.failures.append(f"level-3 debt bound violated at {x}: {len(neg3)}")
+            fail.append(f"level-3 debt bound violated at {x}: {len(neg3)}")
         elif len(neg3) == 1:
             for y in ledger.nbrs_at(x, 3):
                 if f5[y] >= 0 and n4_neg(y) != 0:
-                    audit.v3_debt_ok = False
-                    audit.failures.append(f"level-3 debt exclusivity violated at {x}/{y}")
+                    fail.append(f"level-3 debt exclusivity violated at {x}/{y}")
     for i in range(2, ledger.partition.depth + 1):
         for v in ledger.level_set(i):
             if f7[v] < 0:
-                audit.final_nonneg_ok = False
-                audit.failures.append(f"final nonnegativity violated at {v}: f7 = {f7[v]}")
+                fail.append(f"final nonnegativity violated at {v}: f7 = {f7[v]}")
 
 
 def audit(g: Graph) -> DischargeAudit:
@@ -709,8 +695,8 @@ def audit(g: Graph) -> DischargeAudit:
         ok = 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("delta>=3", n, e, ok, reduced_t2=removed)
     if delta == 2 and not good_roots(g):
-        # g passed a saturation scan above and has minimum degree 2:
-        # degree_sum_check's preconditions hold without another scan
+        # g passed a saturation scan above and has minimum degree 2, which
+        # is what degree_sum_holds assumes
         ok = degree_sum_holds(g) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("no-good-root", n, e, ok, reduced_t2=removed)
 
@@ -722,19 +708,13 @@ def audit(g: Graph) -> DischargeAudit:
 
     out = DischargeAudit("full", n, e, False, reduced_t2=removed, ledger=ledger)
     out.v1_sum = sum((ledger.stages["g"][v] for v in ledger.level_set(1)), F(0))
-    out.v1_sum_ok = out.v1_sum == (F(-5, 3) if rc.delta == 1 else F(-2))
-    mono_fail, obs_fail = [], []
-    _check_monotone(ledger, mono_fail)
-    _check_observations(ledger, obs_fail)
-    out.monotone_sign_ok = not mono_fail
-    out.class_bounds_ok = not obs_fail
-    out.failures.extend(mono_fail + obs_fail)
-    _check_theorems(ledger, out)
-    out.outer_sum_nonneg = ledger.outer_sum("f7") >= 0
-    for name, ok in (("v1-sum", out.v1_sum_ok),
-                     ("outer-sum-nonneg", out.outer_sum_nonneg)):
-        if not ok:
-            out.failures.append(f"{name} check failed")
+    _check_monotone(ledger, out.failures)
+    _check_observations(ledger, out.failures)
+    _check_theorems(ledger, out.failures)
+    if out.v1_sum != (F(-5, 3) if rc.delta == 1 else F(-2)):
+        out.failures.append("v1-sum check failed")
+    if ledger.outer_sum("f7") < 0:
+        out.failures.append("outer-sum-nonneg check failed")
     out.final_bound_ok = e >= lower_bound_edges(n)
     if not out.final_bound_ok:
         out.failures.append(f"final bound failed: e={e}, n={n}")

@@ -222,8 +222,9 @@ class CyclePath(_CyclePathFields):
 
     A named tuple: it compares equal to the plain tuple (vertices, kind),
     has len 2 and unpacks. The constructor checks the kind and that no
-    vertex repeats; `_trusted` skips both for paths the kernel returns,
-    which are simple by construction.
+    vertex repeats, and so do `_make` and `_replace`, which goes through
+    it; `_trusted` skips both for paths the kernel returns, which are simple
+    by construction.
     """
 
     __slots__ = ()
@@ -234,6 +235,10 @@ class CyclePath(_CyclePathFields):
         if len(set(vertices)) != len(vertices):
             raise GraphError("repeated vertex")
         return tuple.__new__(cls, (vertices, kind))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def _trusted(cls, vertices, kind):
@@ -346,9 +351,14 @@ def from_graph6(text: str) -> Graph:
 
 
 def read_graph6_file(path) -> list:
+    """The graph6 records of a file, one a line; blank lines are skipped.
+    A line that is not ASCII raises Graph6Error naming it."""
     graphs = []
-    with open(path) as fh:
-        for line in fh:
+    # undecodable bytes become lone surrogates, found line by line below
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for i, line in enumerate(fh, 1):
+            if not line.isascii():
+                raise Graph6Error(f"{path}: line {i} is not ASCII")
             line = line.strip()
             if line:
                 graphs.append(from_graph6(line))
@@ -378,10 +388,6 @@ def find_path(g: Graph, u, v, length, banned=0):
     inner vertex in `banned`, or None (always None when u == v)."""
     p = None if u == v else kernels.least_path(g.adj, u, v, length, banned)
     return None if p is None else CyclePath._trusted(p, "path")
-
-
-def has_path(g: Graph, u, v, length) -> bool:
-    return kernels.has_path(g.adj, u, v, length)
 
 
 def contains_cycle(g: Graph, k):

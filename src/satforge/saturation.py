@@ -4,7 +4,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernels
 from .graph import Graph, CyclePath, GraphError, contains_cycle
@@ -79,7 +79,6 @@ def is_saturated_fast(g: Graph, k: int) -> bool:
 
 @dataclass(frozen=True)
 class TSets:
-    t: frozenset
     t1: frozenset
     t2: frozenset
 
@@ -91,16 +90,15 @@ def _in_triangle(g, v):
 
 def t_sets(g: Graph) -> TSets:
     """Degree-2 vertices in a triangle, split by having a degree-2 neighbor."""
-    t, t1, t2 = set(), set(), set()
+    t1, t2 = set(), set()
     for v in range(g.n):
         if g.degree(v) != 2 or not _in_triangle(g, v):
             continue
-        t.add(v)
         if any(g.degree(w) == 2 for w in g.neighbors(v)):
             t2.add(v)
         else:
             t1.add(v)
-    return TSets(frozenset(t), frozenset(t1), frozenset(t2))
+    return TSets(frozenset(t1), frozenset(t2))
 
 
 def reduce_t2(g: Graph) -> Graph:
@@ -130,14 +128,6 @@ def good_roots(g: Graph) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ThetaClassification:
-    theta: frozenset  # all degree-2 vertices
-    in_c4: frozenset
-    in_c5: frozenset
-    classes: dict = field(compare=False, default_factory=dict)  # vertex -> 1..5
-
-
 def _in_cycle_of_length(g, v, k):
     return kernels.least_path(g.adj, v, v, k) is not None
 
@@ -149,44 +139,37 @@ def _in_chorded_c5(g, v):
                for cyc in kernels.all_paths(g.adj, v, v, 5) for i in range(5))
 
 
-def theta_classes(g: Graph) -> ThetaClassification:
-    """Classify every degree-2 vertex by its short-cycle environment.
+def theta_classes(g: Graph) -> dict:
+    """Classify every degree-2 vertex by its short-cycle environment, as a
+    vertex -> class dict.
 
     Class 5 = on a chorded 5-cycle; class 4 = on both a 4- and 5-cycle but no
     chorded one; class 3 = 4-cycle only; class 2 = 5-cycle only; class 1 =
     neither. Classes 1..5 partition the degree-2 vertices.
     """
-    theta = frozenset(v for v in range(g.n) if g.degree(v) == 2)
-    c4 = frozenset(v for v in theta if _in_cycle_of_length(g, v, 4))
-    c5 = frozenset(v for v in theta if _in_cycle_of_length(g, v, 5))
     classes = {}
-    for v in theta:
-        if v in c5 and _in_chorded_c5(g, v):
+    for v in range(g.n):
+        if g.degree(v) != 2:
+            continue
+        c4 = _in_cycle_of_length(g, v, 4)
+        c5 = _in_cycle_of_length(g, v, 5)
+        if c5 and _in_chorded_c5(g, v):
             classes[v] = 5
-        elif v in c4 and v in c5:
+        elif c4 and c5:
             classes[v] = 4
-        elif v in c4:
+        elif c4:
             classes[v] = 3
-        elif v in c5:
+        elif c5:
             classes[v] = 2
         else:
             classes[v] = 1
-    return ThetaClassification(theta, c4, c5, classes)
-
-
-def degree_sum_check(g: Graph) -> bool:
-    """Degree-sum bound over X = V minus degree-2 vertices outside T_1, for a
-    C_6-saturated graph of minimum degree 2."""
-    if g.min_degree() != 2:
-        raise PreconditionError("minimum degree must be 2")
-    if not is_saturated_fast(g, 6):
-        raise PreconditionError("graph is not C_6-saturated")
-    return degree_sum_holds(g)
+    return classes
 
 
 def degree_sum_holds(g: Graph) -> bool:
-    """`degree_sum_check` for a caller that has established its
-    preconditions; it runs no saturation scan."""
+    """Degree-sum bound over X = V minus degree-2 vertices outside T_1, for a
+    C_6-saturated graph of minimum degree 2; the caller establishes both
+    preconditions, and no saturation scan runs here."""
     ts = t_sets(g)
     x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in ts.t1)]
     return sum(g.degree(v) for v in x) >= 3 * len(x)

@@ -29,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import Graph, GraphError, has_path, write_graph6_file
-from .kernels import witness_scan
+from . import kernels
+from .graph import Graph, GraphError, write_graph6_file
 
 MAX_CANON_VERTICES = 16
 
@@ -247,11 +247,6 @@ def canonical_form(g: Graph):
     return lab.code, lab.order, list(lab.generators)
 
 
-def canonical_key(g: Graph):
-    code, _, _ = canonical_form(g)
-    return (g.n, code)
-
-
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy; equal across an isomorphism class."""
     _, ordering, _ = canonical_form(g)
@@ -264,19 +259,12 @@ def canonical_graph(g: Graph) -> Graph:
 def are_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
-    return canonical_key(a) == canonical_key(b)
+    return canonical_form(a)[0] == canonical_form(b)[0]
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def saturation_lower_bound(n: int) -> int:
-    """Fewest edges of a C_k-saturated graph on n >= 1 vertices, for any k:
-    it is connected, since an edge between two components would close no
-    cycle, so it has at least n-1 edges."""
-    return n - 1
-
 
 @dataclass
 class SearchResult:
@@ -476,7 +464,7 @@ def _next_level(level, k, budget):
             budget.tick()
             if not keys.largest(u, v):
                 continue  # another edge of the child has a larger key
-            if k <= g.n and has_path(g, u, v, k - 1):
+            if k <= g.n and kernels.has_path(g.adj, u, v, k - 1):
                 continue  # the new edge would close a k-cycle
             child = g.with_edge(u, v)
             code, _, child_generators = canonical_form(child)
@@ -515,7 +503,6 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     start = time.monotonic()
     budget = _Budget(budget_nodes, budget_secs)
     result = SearchResult(n, k, None)
-    m_low = saturation_lower_bound(n)
     empty = Graph(n, [0] * n)
     code, _, generators = canonical_form(empty)
     level = {code: (empty, b"".join(generators))}
@@ -533,11 +520,13 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
                 # tick no budget would end the loop
                 raise EmptyLevelError(f"level m = {m} is empty: classes were lost")
             result.level_sizes[m] = len(level)
-            if m >= m_low:
+            # a C_k-saturated graph is connected, since an edge between two
+            # components would close no cycle, so it has at least n-1 edges
+            if m >= n - 1:
                 # level graphs are C_k-free by construction: only the
                 # witnesses are left to test
                 hits = [g for _, (g, _) in sorted(level.items())
-                        if witness_scan(g.adj, k)]
+                        if kernels.witness_scan(g.adj, k)]
                 if hits:
                     result.min_edges = m
                     result.graphs = [canonical_graph(g) for g in hits]
@@ -546,13 +535,6 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     result.nodes = budget.spent
     result.elapsed = time.monotonic() - start
     return result
-
-
-def min_saturated_edges(n: int, k: int, **kw) -> int:
-    res = enumerate_saturated(n, k, **kw)
-    if res.status != "complete":
-        raise SearchError(f"search incomplete for n={n}, k={k}: {res.status}")
-    return res.min_edges
 
 
 # ---------------------------------------------------------------------------

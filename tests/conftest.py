@@ -2,9 +2,28 @@ import random
 
 import pytest
 
+from satforge import kernels
 from satforge.construction import build_construction
-from satforge.graph import Graph, has_path
+from satforge.graph import Graph
 from satforge.search import enumerate_saturated
+
+
+# the failure messages of each audit check, by their leading words
+CHECK_MESSAGES = {
+    "v1-sum": ("v1-sum check failed",),
+    "monotone-sign": ("sign monotonicity broken", "negative charge sank"),
+    "class-bounds": ("negative-vertex rule", "pairing rule", "class charge floor",
+                     "strong conditional bound", "weak conditional bound"),
+    "v4-debt": ("level-4 debt",),
+    "v3-debt": ("level-3 debt",),
+    "final-nonneg": ("final nonnegativity",),
+    "outer-sum-nonneg": ("outer-sum-nonneg check failed",),
+}
+
+
+def failures_of(a, check):
+    """The messages in `a.failures` that the audit check `check` reported."""
+    return [msg for msg in a.failures if msg.startswith(CHECK_MESSAGES[check])]
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +70,7 @@ def c6_saturation_process(rng, n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     for u, v in pairs:
-        if not has_path(g, u, v, 5):
+        if not kernels.has_path(g.adj, u, v, 5):
             g = g.with_edge(u, v)
     return g
 

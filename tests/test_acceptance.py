@@ -19,7 +19,7 @@ from satforge.discharging import audit, charge_identity_holds, choose_root
 from satforge.graph import Graph
 from satforge.saturation import check_saturated, t_sets
 from satforge.search import are_isomorphic, enumerate_saturated
-from tests.conftest import random_connected_graph
+from tests.conftest import failures_of, random_connected_graph
 
 
 def _report(num, ok, detail=""):
@@ -100,7 +100,7 @@ def test_criterion_7_v1_sums(corpus):
         if a.branch != "full":
             continue
         checked += 1
-        ok &= a.v1_sum_ok
+        ok &= not failures_of(a, "v1-sum")
     _report(7, ok and checked > 0, f"{checked} rooted audits")
 
 
@@ -112,7 +112,8 @@ def test_criterion_8_theorem_assertions(corpus, extremal9):
         a = audit(g)
         if a.branch != "full":
             continue
-        if not (a.v4_debt_ok and a.v3_debt_ok and a.final_nonneg_ok and a.monotone_sign_ok):
+        if any(failures_of(a, check) for check in
+               ("v4-debt", "v3-debt", "final-nonneg", "monotone-sign")):
             bad.append((g, a.failures))
     _report(8, not bad, f"incl. all {len(extremal9.graphs)} extremals"
             + (f" bad={bad}" if bad else ""))

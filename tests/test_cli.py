@@ -33,6 +33,15 @@ def usage_error(capsys, *argv):
     return stderr
 
 
+def write_non_ascii(path):
+    """A valid record, then a line of bytes that are not ASCII."""
+    path.write_bytes(to_graph6(Graph.cycle(6)).encode() + b"\n\x7fELF\xff\xfe\n")
+
+
+def assert_non_ascii_error(stderr, path):
+    assert stderr == f"error: {path}: line 2 is not ASCII\n"
+
+
 class TestConstruct:
     def test_writes_file_and_reports(self, tmp_path, capsys):
         out = tmp_path / "g.g6"
@@ -83,6 +92,11 @@ class TestCheck:
         path = tmp_path / "bad.g6"
         path.write_text("H?\n")  # truncated record
         usage_error(capsys, "check", str(path))
+
+    def test_non_ascii_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.g6"
+        write_non_ascii(path)
+        assert_non_ascii_error(usage_error(capsys, "check", str(path)), path)
 
     def test_short_cycle_length_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "in.g6"
@@ -175,6 +189,11 @@ class TestAudit:
     def test_missing_file(self, capsys):
         usage_error(capsys, "audit", "/nonexistent.g6")
 
+    def test_non_ascii_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.g6"
+        write_non_ascii(path)
+        assert_non_ascii_error(usage_error(capsys, "audit", str(path)), path)
+
     def test_t2_reduction_noted(self, tmp_path, capsys):
         path = tmp_path / "g11.g6"
         run(capsys, "construct", "--n", "11", "--out", str(path))
@@ -249,6 +268,15 @@ class TestTable:
         assert code == EXIT_USAGE
         assert stdout.split() == ["n", "lower", "upper", "edges", "sat"]
         assert stderr.startswith("error: ")
+
+    def test_non_ascii_corpus_file_is_usage_error(self, tmp_path, capsys):
+        path = Path("search-results") / "sat_9_6.g6"
+        path.parent.mkdir()
+        write_non_ascii(path)
+        code, stdout, stderr = run(capsys, "table", "--n-range", "9..9")
+        assert code == EXIT_USAGE
+        assert stdout.split() == ["n", "lower", "upper", "edges", "sat"]
+        assert_non_ascii_error(stderr, path)
 
     def test_beyond_max_vertices_has_no_edges(self, capsys):
         code, stdout, _ = run(capsys, "table", "--n-range", "60..70")

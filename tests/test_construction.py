@@ -6,8 +6,6 @@ from satforge.construction import (
     build_g0,
     lower_bound_edges,
     upper_bound_edges,
-    verify_construction,
-    witness_paths_ok,
 )
 from satforge.saturation import check_saturated, good_roots, t_sets
 
@@ -77,16 +75,45 @@ class TestBounds:
             assert upper_bound_edges(n) >= lower_bound_edges(n)
 
 
+# Six witness families certifying the cross-path non-edges; each template is
+# the cycle closed by the named non-edge (first and last entries).
+WITNESS_TEMPLATES = (
+    ("a{i}", "b{i}", "c{i}", "x2", "x1", "a{j}"),
+    ("a{i}", "b{i}", "c{i}", "x2", "c{j}", "b{j}"),
+    ("a{i}", "x1", "y2", "y3", "x2", "c{j}"),
+    ("b{i}", "a{i}", "x1", "x2", "c{j}", "b{j}"),
+    ("b{i}", "a{i}", "x1", "a{j}", "b{j}", "c{j}"),
+    ("c{i}", "b{i}", "a{i}", "x1", "x2", "c{j}"),
+)
+
+
+def assert_witness_templates(n):
+    """Every template, at every pair i < j of pendant paths, is a non-edge
+    closed by a 5-edge path of the family member."""
+    g, spec = build_construction(n)
+    lab = spec.labels
+    idxs = [0] + list(range(1, spec.t - 2))
+    for i_pos, i in enumerate(idxs):
+        for j in idxs[i_pos + 1:]:
+            for tmpl in WITNESS_TEMPLATES:
+                verts = [lab[s.format(i=i, j=j)] for s in tmpl]
+                assert not g.has_edge(verts[0], verts[-1]), (tmpl, i, j)
+                for a, b in zip(verts, verts[1:]):
+                    assert g.has_edge(a, b), (tmpl, i, j)
+
+
 class TestWitnesses:
     def test_templates_hold_at_15(self):
-        assert witness_paths_ok(15)
+        assert_witness_templates(15)
 
     def test_templates_hold_at_18(self):
-        assert witness_paths_ok(18)
+        assert_witness_templates(18)
 
 
 class TestVerify:
     def test_report_rows(self):
-        rows = verify_construction([9, 10, 11])
-        assert [r["n"] for r in rows] == [9, 10, 11]
-        assert all(r["edges_ok"] and r["saturated"] and r["lower_ok"] for r in rows)
+        for n in (9, 10, 11):
+            g, _ = build_construction(n)
+            assert g.edge_count == upper_bound_edges(n)
+            assert check_saturated(g, 6).saturated
+            assert g.edge_count >= lower_bound_edges(n)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from satforge import kernels
+from satforge import discharging, kernels
 from satforge.construction import build_construction
 from satforge.discharging import (
     MINUS,
@@ -23,7 +23,7 @@ from satforge.discharging import (
 )
 from satforge.graph import Graph
 from satforge.saturation import PreconditionError
-from tests.conftest import process_graphs, random_connected_graph
+from tests.conftest import CHECK_MESSAGES, failures_of, process_graphs, random_connected_graph
 
 
 def brute_four_cycle_diagonals(g, u):
@@ -262,7 +262,7 @@ class TestAudit:
             assert v1_sum == (F(-5, 3) if led.graph.min_degree() == 1 else F(-2))
             assert led.outer_sum("g5") == led.outer_sum("g")
             assert led.outer_sum("f7") == led.outer_sum("g")
-            assert a.v1_sum_ok
+            assert not failures_of(a, "v1-sum")
             # stage-two steps 1, 3 and 7 leave every sender empty
             f = led.stages
             assert all(f["f1"][w] == 0 for w in led.level_set(5))
@@ -310,4 +310,44 @@ class TestAudit:
         for g in extremal9.graphs:
             a = audit(g)
             if a.branch == "full":
-                assert a.monotone_sign_ok
+                assert not failures_of(a, "monotone-sign")
+
+
+def _set_charges(ledger, stage, vertices, value):
+    ledger.stages[stage] = {**ledger.stages[stage], **dict.fromkeys(vertices, value)}
+
+
+def _deep_class_two(ledger):
+    return [v for i in (3, 4, 5) for v in ledger.level_set(i)
+            if ledger.classes.get(v) == "2"]
+
+
+# one tampering of the finished ledger per audit check, each breaking it
+TAMPERS = {
+    "v1-sum": lambda led: _set_charges(led, "g", led.level_set(1), F(0)),
+    "monotone-sign": lambda led: _set_charges(led, "f1", led.level_set(2), F(-1)),
+    "class-bounds": lambda led: _set_charges(led, "g5", _deep_class_two(led), F(-10)),
+    "v4-debt": lambda led: _set_charges(led, "f5", led.level_set(4), F(-1)),
+    "v3-debt": lambda led: _set_charges(led, "f5", led.level_set(3), F(-1)),
+    "final-nonneg": lambda led: _set_charges(
+        led, "f7", sorted(led.level_set(2))[:1], F(-1, 6)),
+    "outer-sum-nonneg": lambda led: _set_charges(led, "f7", led.level_set(2), F(-100)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_MESSAGES))
+def test_each_check_failure_is_found_by_name(check, monkeypatch):
+    # a process graph of depth 4 whose audit passes every check
+    g = process_graphs()[5]
+    assert audit(g).failures == []
+    stage_two_unchanged = discharging.stage_two
+
+    def tampered(ledger):
+        stage_two_unchanged(ledger)
+        TAMPERS[check](ledger)
+        return ledger
+
+    monkeypatch.setattr(discharging, "stage_two", tampered)
+    a = audit(g)
+    assert failures_of(a, check), a.failures
+    assert not a.passed

@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satforge import kernels
 from satforge.graph import (
     CyclePath,
     Graph,
@@ -15,7 +16,6 @@ from satforge.graph import (
     contains_cycle,
     find_path,
     from_graph6,
-    has_path,
     paths_between,
     to_graph6,
 )
@@ -122,6 +122,17 @@ class TestCyclePath:
         with pytest.raises(AttributeError):
             cyc.kind = "path"
 
+    def test_make_and_replace_check_too(self):
+        cyc = CyclePath((0, 1, 2), "cycle")
+        with pytest.raises(GraphError):
+            cyc._replace(kind="loop")
+        with pytest.raises(GraphError):
+            cyc._replace(vertices=(1, 1))
+        with pytest.raises(GraphError):
+            CyclePath._make(((0, 0), "path"))
+        path = cyc._replace(kind="path")
+        assert type(path) is CyclePath and path == ((0, 1, 2), "path")
+
 
 class TestGraph6:
     def test_known_encodings(self):
@@ -184,7 +195,7 @@ class TestPaths:
             for length in range(1, 6):
                 for u in range(g.n):
                     for v in range(u + 1, g.n):
-                        assert has_path(g, u, v, length) == bool(
+                        assert kernels.has_path(g.adj, u, v, length) == bool(
                             paths_between(g, u, v, length)
                         )
 

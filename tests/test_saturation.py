@@ -9,7 +9,7 @@ from satforge.saturation import (
     BookkeepingError,
     PreconditionError,
     check_saturated,
-    degree_sum_check,
+    degree_sum_holds,
     good_roots,
     is_saturated_fast,
     reduce_t2,
@@ -127,33 +127,24 @@ class TestStructureSets:
 
     def test_theta_partition(self):
         g, spec = build_construction(9)
-        th = theta_classes(g)
+        classes = theta_classes(g)
         lab = spec.labels
-        assert th.classes[lab["y3"]] == 5
-        assert th.classes[lab["y4"]] == 5
+        assert classes[lab["y3"]] == 5
+        assert classes[lab["y4"]] == 5
         for name in ("a0", "b0", "c0"):
-            assert th.classes[lab[name]] == 2
-        assert set(th.classes.values()) <= {1, 2, 3, 4, 5}
+            assert classes[lab[name]] == 2
+        assert set(classes.values()) <= {1, 2, 3, 4, 5}
 
     def test_theta_cycle_membership(self):
         g = Graph.cycle(5)
-        th = theta_classes(g)
-        assert all(c == 2 for c in th.classes.values())
+        assert all(c == 2 for c in theta_classes(g).values())
         g4 = Graph.cycle(4)
-        assert all(c == 3 for c in theta_classes(g4).classes.values())
+        assert all(c == 3 for c in theta_classes(g4).values())
 
 
 class TestDegreeSum:
     def test_family_satisfies_bound(self):
         for n in (9, 12, 15):
             g, _ = build_construction(n)
-            assert degree_sum_check(g)
-
-    def test_min_degree_precondition(self):
-        with pytest.raises(PreconditionError):
-            degree_sum_check(Graph.star(5))
-
-    def test_saturation_precondition(self):
-        # minimum degree 2, but no non-edge of C_5 closes a 6-cycle
-        with pytest.raises(PreconditionError):
-            degree_sum_check(Graph.cycle(5))
+            assert g.min_degree() == 2 and is_saturated_fast(g, 6)
+            assert degree_sum_holds(g)

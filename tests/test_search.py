@@ -5,8 +5,8 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from satforge import search
-from satforge.graph import Graph, from_graph6, has_path, read_graph6_file, to_graph6
+from satforge import kernels, search
+from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6
 from satforge.search import (
     EmptyLevelError,
     SearchError,
@@ -18,10 +18,7 @@ from satforge.search import (
     are_isomorphic,
     canonical_form,
     canonical_graph,
-    canonical_key,
     enumerate_saturated,
-    min_saturated_edges,
-    saturation_lower_bound,
     save_result,
     summary_table,
 )
@@ -120,6 +117,12 @@ def refine_by_count_tuples(adj, cells, masks, splitters):
             cells[i:i + 1] = parts
             masks[i:i + 1] = part_masks
         splitters = created
+
+
+def canonical_key(g):
+    """The canonical code: equal on two graphs with the same vertex count
+    exactly when they are isomorphic."""
+    return canonical_form(g)[0]
 
 
 class TestCanonical:
@@ -250,14 +253,6 @@ class TestCanonical:
         assert pruned_leaves < len(leaves)
 
 
-class TestBounds:
-    def test_lower_bound_values(self):
-        # connectivity alone: no k and no outside bound
-        assert saturation_lower_bound(1) == 0
-        assert saturation_lower_bound(9) == 8
-        assert saturation_lower_bound(12) == 11
-
-
 class TestEnumeration:
     def test_triangle_saturation_is_star(self):
         res = enumerate_saturated(6, 3)
@@ -267,7 +262,9 @@ class TestEnumeration:
 
     def test_four_cycle_values(self):
         for n in (5, 6, 7):
-            assert min_saturated_edges(n, 4) == (3 * n - 5) // 2
+            res = enumerate_saturated(n, 4)
+            assert res.status == "complete"
+            assert res.min_edges == (3 * n - 5) // 2
 
     def test_small_n_below_girth_needs_complete(self):
         res = enumerate_saturated(4, 6)
@@ -310,8 +307,6 @@ class TestEnumeration:
         res = enumerate_saturated(9, 6, budget_nodes=40)
         assert res.status == "budget-exhausted"
         assert res.min_edges is None
-        with pytest.raises(SearchError):
-            min_saturated_edges(9, 6, budget_nodes=40)
 
     @pytest.mark.parametrize("budget", [0, 30])
     def test_budget_counts_only_tried_nodes(self, budget):
@@ -383,7 +378,7 @@ def label_every_leader(level, k):
     out = {}
     for g, generators in level.values():
         for u, v in _orbit_leaders(g.n, g.non_edges(), generators):
-            if k <= g.n and has_path(g, u, v, k - 1):
+            if k <= g.n and kernels.has_path(g.adj, u, v, k - 1):
                 continue
             child = g.with_edge(u, v)
             code, _, child_generators = canonical_form(child)
