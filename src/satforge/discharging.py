@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import kernels
 from .construction import lower_bound_edges
 from .graph import Graph, GraphError, LevelPartition, bfs_levels
 from .saturation import (
@@ -137,11 +136,19 @@ def _four_cycles_through(g, u):
     """Pairs (4-cycle through u, diagonal of it that is not an edge).
 
     A 4-cycle counts once per non-adjacent diagonal, so C_4 gives 2 at every
-    vertex and K_4 gives 0. Each cycle (u, a, b, c) is listed in both
-    directions; a < c keeps one.
+    vertex and K_4 gives 0. The cycles (u, a, b, c) with neighbors a < c of u
+    are those with b a common neighbor of a and c other than u; their
+    diagonals are ub and ac.
     """
-    return sum((not g.has_edge(u, b)) + (not g.has_edge(a, c))
-               for _, a, b, c, _ in kernels.all_paths(g.adj, u, u, 4) if a < c)
+    adj, nbrs = g.adj, g.neighbors(u)
+    count = 0
+    for i, a in enumerate(nbrs):
+        for c in nbrs[i + 1:]:
+            bs = adj[a] & adj[c] & ~(1 << u)
+            count += (bs & ~adj[u]).bit_count()
+            if not adj[a] >> c & 1:
+                count += bs.bit_count()
+    return count
 
 
 def choose_root(g: Graph) -> RootChoice:
@@ -156,15 +163,9 @@ def choose_root(g: Graph) -> RootChoice:
     if delta == 0:
         raise PreconditionError("isolated vertex")
     if delta == 1:
-        best, best_key = None, None
-        for v in range(g.n):
-            if g.degree(v) != 1:
-                continue
-            key = (_four_cycles_through(g, g.neighbors(v)[0]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+        alpha = min((v for v in range(g.n) if g.degree(v) == 1),
+                    key=lambda v: (_four_cycles_through(g, g.neighbors(v)[0]), v))
         rationale = "min-4-cycles-at-neighbor"
-        alpha = best
     else:
         roots = good_roots(g)
         if not roots:

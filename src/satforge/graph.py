@@ -352,7 +352,7 @@ def from_graph6(text: str) -> Graph:
 
 def read_graph6_file(path) -> list:
     """The graph6 records of a file, one a line; blank lines are skipped.
-    A line that is not ASCII raises Graph6Error naming it."""
+    A line that is not ASCII or not a record raises Graph6Error naming it."""
     graphs = []
     # undecodable bytes become lone surrogates, found line by line below
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -361,7 +361,10 @@ def read_graph6_file(path) -> list:
                 raise Graph6Error(f"{path}: line {i} is not ASCII")
             line = line.strip()
             if line:
-                graphs.append(from_graph6(line))
+                try:
+                    graphs.append(from_graph6(line))
+                except Graph6Error as exc:
+                    raise Graph6Error(f"{path}: line {i}: {exc}") from None
     return graphs
 
 
@@ -386,7 +389,7 @@ def paths_between(g: Graph, u, v, length) -> list:
 def find_path(g: Graph, u, v, length, banned=0):
     """Lexicographically least simple u-v path with `length` edges and no
     inner vertex in `banned`, or None (always None when u == v)."""
-    p = None if u == v else kernels.least_path(g.adj, u, v, length, banned)
+    p = kernels.least_path(g.adj, u, v, length, banned)
     return None if p is None else CyclePath._trusted(p, "path")
 
 

@@ -18,13 +18,13 @@ lexicographically least u-v path.
   above u as T.
 - :func:`least_path` and :func:`has_path` walk into the one target T = {v}.
 - :func:`all_paths` records every path met, in lexicographic order.
-- A cycle of L edges through u is a path of L - 1 edges from u to a
-  neighbor of u, closed by the edge back. Cycle queries walk L - 1 edges into
-  the neighbors of u that are not banned; the least cycle is the least of the
-  paths found. :func:`least_cycle`, behind :func:`has_cycle` and
-  ``graph.contains_cycle``, walks from each u into its neighbors above u,
-  with the vertices below u banned: the least vertex of a k-cycle is such a
-  u, and its cycles use no vertex below it.
+- The walk never reaches u, so every path query with u == v finds nothing.
+  Cycles go through :func:`least_cycle` alone, behind :func:`has_cycle` and
+  ``graph.contains_cycle``: a cycle of k edges through u is a path of k - 1
+  edges from u to a neighbor of u, closed by the edge back. It walks from
+  each u into its neighbors above u, with the vertices below u banned: the
+  least vertex of a k-cycle is such a u, and its cycles use no vertex below
+  it.
 
 Pruning. Call a vertex allowed when it may be inner: neither banned nor u.
 Let U[0] = T, and let U[j+1] be the allowed vertices of the union of adj[x]
@@ -141,27 +141,19 @@ def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
 
 def least_path(adj, u, v, length, banned=0):
     """Lexicographically least simple u-v path with exactly `length` edges and
-    no inner vertex in `banned`, as a vertex tuple, or None. With u == v it is
-    the least cycle of `length` edges through u, as a closed tuple (u, ..., u)."""
+    no inner vertex in `banned`, as a vertex tuple, or None. The walk never
+    reaches u, so with u == v it is None."""
     out = {}
-    if u != v:
-        least_paths(adj, u, length, 1 << v, banned, out)
-        return out.get(v)
-    if length >= 3:
-        least_paths(adj, u, length - 1, adj[u] & ~banned, banned, out)
-    return min(out.values()) + (u,) if out else None
+    least_paths(adj, u, length, 1 << v, banned, out)
+    return out.get(v)
 
 
 def all_paths(adj, u, v, length, banned=0) -> list:
     """Every simple u-v path with exactly `length` edges and no inner vertex in
-    `banned`, as vertex tuples in lexicographic order; with u == v, every cycle
-    of `length` edges through u, once per direction, as closed tuples."""
+    `banned`, as vertex tuples in lexicographic order; [] when u == v, since
+    the walk never reaches u."""
     out = []
-    if u != v:
-        _paths(adj, u, length, 1 << v, banned, out, True)
-    elif length >= 3:
-        _paths(adj, u, length - 1, adj[u] & ~banned, banned, out, True)
-        out = [(*p, u) for p in out]
+    _paths(adj, u, length, 1 << v, banned, out, True)
     return out
 
 

@@ -83,21 +83,20 @@ class TSets:
     t2: frozenset
 
 
-def _in_triangle(g, v):
-    nbrs = g.neighbors(v)
-    return any(g.has_edge(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:])
+def _degree_two(g):
+    """(v, a, b) for each degree-2 vertex v, with neighbors a < b."""
+    for v in range(g.n):
+        if g.degree(v) == 2:
+            yield (v, *g.neighbors(v))
 
 
 def t_sets(g: Graph) -> TSets:
-    """Degree-2 vertices in a triangle, split by having a degree-2 neighbor."""
+    """Degree-2 vertices in a triangle, split by having a degree-2 neighbor.
+    A degree-2 vertex lies in a triangle iff its two neighbors are adjacent."""
     t1, t2 = set(), set()
-    for v in range(g.n):
-        if g.degree(v) != 2 or not _in_triangle(g, v):
-            continue
-        if any(g.degree(w) == 2 for w in g.neighbors(v)):
-            t2.add(v)
-        else:
-            t1.add(v)
+    for v, a, b in _degree_two(g):
+        if g.has_edge(a, b):
+            (t2 if 2 in (g.degree(a), g.degree(b)) else t1).add(v)
     return TSets(frozenset(t1), frozenset(t2))
 
 
@@ -118,25 +117,9 @@ def reduce_t2(g: Graph) -> Graph:
 
 
 def good_roots(g: Graph) -> frozenset:
-    """Degree-2 vertices whose two neighbors are non-adjacent."""
-    out = set()
-    for v in range(g.n):
-        if g.degree(v) == 2:
-            a, b = g.neighbors(v)
-            if not g.has_edge(a, b):
-                out.add(v)
-    return frozenset(out)
-
-
-def _in_cycle_of_length(g, v, k):
-    return kernels.least_path(g.adj, v, v, k) is not None
-
-
-def _in_chorded_c5(g, v):
-    """True iff v lies on a 5-cycle carrying at least one chord."""
-    # the chords of a 5-cycle c0..c4 are its diagonals c_i c_{i+2}
-    return any(g.has_edge(cyc[i], cyc[(i + 2) % 5])
-               for cyc in kernels.all_paths(g.adj, v, v, 5) for i in range(5))
+    """Degree-2 vertices whose two neighbors are non-adjacent: the degree-2
+    vertices outside T."""
+    return frozenset(v for v, a, b in _degree_two(g) if not g.has_edge(a, b))
 
 
 def theta_classes(g: Graph) -> dict:
@@ -146,23 +129,29 @@ def theta_classes(g: Graph) -> dict:
     Class 5 = on a chorded 5-cycle; class 4 = on both a 4- and 5-cycle but no
     chorded one; class 3 = 4-cycle only; class 2 = 5-cycle only; class 1 =
     neither. Classes 1..5 partition the degree-2 vertices.
+
+    For v with neighbors a < b: v is on a 4-cycle iff a and b have a common
+    neighbor other than v, and on a 5-cycle v-a-x-y-b iff some path a-x-y-b
+    avoids v. Such a cycle is chorded iff ab, ay or xb is an edge, since v
+    has no other neighbors.
     """
+    adj = g.adj
     classes = {}
-    for v in range(g.n):
-        if g.degree(v) != 2:
-            continue
-        c4 = _in_cycle_of_length(g, v, 4)
-        c5 = _in_cycle_of_length(g, v, 5)
-        if c5 and _in_chorded_c5(g, v):
-            classes[v] = 5
-        elif c4 and c5:
-            classes[v] = 4
-        elif c4:
-            classes[v] = 3
-        elif c5:
-            classes[v] = 2
-        else:
-            classes[v] = 1
+    for v, a, b in _degree_two(g):
+        c4 = adj[a] & adj[b] & ~(1 << v)
+        ab = adj[a] >> b & 1
+        c5 = chorded = False
+        for x in g.neighbors(a):
+            if x in (v, b):
+                continue
+            ys = adj[x] & adj[b] & ~(1 << v | 1 << a)
+            if ys:
+                c5 = True
+                if ab or adj[a] & ys or adj[b] >> x & 1:
+                    chorded = True
+                    break
+        classes[v] = (5 if chorded else 4 if c4 and c5 else 3 if c4
+                      else 2 if c5 else 1)
     return classes
 
 

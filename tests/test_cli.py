@@ -42,6 +42,15 @@ def assert_non_ascii_error(stderr, path):
     assert stderr == f"error: {path}: line 2 is not ASCII\n"
 
 
+def write_malformed(path):
+    """A valid record, then a 9-vertex record one body byte short."""
+    path.write_text(to_graph6(Graph.cycle(6)) + "\nH?????\n")
+
+
+def assert_malformed_error(stderr, path):
+    assert stderr == f"error: {path}: line 2: expected 6 body chars, got 5\n"
+
+
 class TestConstruct:
     def test_writes_file_and_reports(self, tmp_path, capsys):
         out = tmp_path / "g.g6"
@@ -97,6 +106,11 @@ class TestCheck:
         path = tmp_path / "bin.g6"
         write_non_ascii(path)
         assert_non_ascii_error(usage_error(capsys, "check", str(path)), path)
+
+    def test_malformed_line_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        write_malformed(path)
+        assert_malformed_error(usage_error(capsys, "check", str(path)), path)
 
     def test_short_cycle_length_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "in.g6"
@@ -194,6 +208,11 @@ class TestAudit:
         write_non_ascii(path)
         assert_non_ascii_error(usage_error(capsys, "audit", str(path)), path)
 
+    def test_malformed_line_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.g6"
+        write_malformed(path)
+        assert_malformed_error(usage_error(capsys, "audit", str(path)), path)
+
     def test_t2_reduction_noted(self, tmp_path, capsys):
         path = tmp_path / "g11.g6"
         run(capsys, "construct", "--n", "11", "--out", str(path))
@@ -277,6 +296,15 @@ class TestTable:
         assert code == EXIT_USAGE
         assert stdout.split() == ["n", "lower", "upper", "edges", "sat"]
         assert_non_ascii_error(stderr, path)
+
+    def test_malformed_corpus_line_is_named(self, capsys):
+        path = Path("search-results") / "sat_9_6.g6"
+        path.parent.mkdir()
+        write_malformed(path)
+        code, stdout, stderr = run(capsys, "table", "--n-range", "9..9")
+        assert code == EXIT_USAGE
+        assert stdout.split() == ["n", "lower", "upper", "edges", "sat"]
+        assert_malformed_error(stderr, path)
 
     def test_beyond_max_vertices_has_no_edges(self, capsys):
         code, stdout, _ = run(capsys, "table", "--n-range", "60..70")

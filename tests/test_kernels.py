@@ -3,7 +3,7 @@
 The reference enumerates the permutations of candidate inner vertices and keeps
 those that form a path, so it shares no code with the pruned walk: witnesses
 must be the exact lexicographic minimum and path lists the exact sorted list.
-Each vertex paired with itself asks for the cycles through it. A second
+A vertex paired with itself finds nothing: the walk never reaches u. A second
 reference, a DFS toward one target pruned by that target's own walk masks,
 checks the many-target walk on inputs too large for the permutations.
 """
@@ -27,10 +27,7 @@ from satforge.saturation import check_saturated
 
 
 def brute_paths(g, u, v, length):
-    """Every simple u-v path with exactly `length` edges, sorted; with u == v,
-    every cycle of `length` >= 3 edges through u as a closed tuple."""
-    if u == v and length < 3:
-        return []
+    """Every simple u-v path (u != v) with exactly `length` edges, sorted."""
     others = [w for w in range(g.n) if w not in (u, v)]
     out = []
     for inner in itertools.permutations(others, length - 1):
@@ -74,10 +71,10 @@ LENGTHS = range(1, 7)
 @pytest.fixture(scope="module")
 def path_table():
     """(graph index, u, v, length) -> brute-force paths, for every ordered pair
-    and for u == v (cycles through u)."""
+    u != v."""
     table = {}
     for i, (g, _) in enumerate(GRAPHS):
-        for u, v in itertools.combinations_with_replacement(range(g.n), 2):
+        for u, v in itertools.combinations(range(g.n), 2):
             for length in LENGTHS:
                 ps = brute_paths(g, u, v, length)
                 table[i, u, v, length] = ps
@@ -97,7 +94,7 @@ def test_python_path_and_cycle_basics():
     assert kernels.has_cycle(g.adj, 6)
     assert not kernels.has_cycle(g.adj, 5)
     assert not kernels.has_cycle(g.adj, 2)  # an edge is not a 2-cycle
-    assert kernels.least_path(g.adj, 0, 0, 6) == (0, 1, 2, 3, 4, 5, 0)
+    assert kernels.least_path(g.adj, 0, 0, 6) is None  # the walk never reaches u
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1) == (0, 5, 4, 3)
     assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1 | 1 << 5) is None
 
@@ -119,12 +116,12 @@ def test_least_path_matches_brute_force(path_table):
     for i, (g, banned) in enumerate(GRAPHS):
         for u, v in itertools.product(range(g.n), repeat=2):
             for length in LENGTHS:
-                ps = path_table[i, u, v, length]
+                ps = path_table[i, u, v, length] if u != v else []
                 assert kernels.least_path(g.adj, u, v, length) == min(ps, default=None)
                 want = min(avoiding(ps, banned), default=None)
                 assert kernels.least_path(g.adj, u, v, length, banned) == want
                 got = find_path(g, u, v, length, banned=banned)
-                assert (got and got.vertices) == (want if u != v else None)
+                assert (got and got.vertices) == want
 
 
 def per_pair_least_path(adj, u, v, length, banned):
@@ -262,7 +259,7 @@ def test_paths_between_matches_brute_force(path_table):
     for i, (g, banned) in enumerate(GRAPHS):
         for u, v in itertools.product(range(g.n), repeat=2):
             for length in LENGTHS:
-                ps = path_table[i, u, v, length]
+                ps = path_table[i, u, v, length] if u != v else []
                 if u == v:
                     with pytest.raises(GraphError):
                         paths_between(g, u, v, length)

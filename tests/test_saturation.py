@@ -1,10 +1,12 @@
 import copy
+import itertools
 import pickle
 
+import networkx as nx
 import pytest
 
 from satforge.construction import build_construction
-from satforge.graph import CyclePath, Graph
+from satforge.graph import CyclePath, Graph, to_graph6
 from satforge.saturation import (
     BookkeepingError,
     PreconditionError,
@@ -93,7 +95,49 @@ class TestCheckSaturated:
                 assert is_saturated_fast(g, k) == check_saturated(g, k).saturated
 
 
+def brute_cycles_through(g, v, k):
+    """The k-cycles through v as vertex tuples (v, c1, .., c_{k-1}), each
+    once per direction, from every tuple of k - 1 other vertices."""
+    others = [w for w in range(g.n) if w != v]
+    return [(v, *p) for p in itertools.permutations(others, k - 1)
+            if g.adj[v] >> p[0] & 1 and g.adj[v] >> p[-1] & 1
+            and all(g.adj[x] >> y & 1 for x, y in zip(p, p[1:]))]
+
+
+def brute_structure(g):
+    """(t1, t2, good roots, theta classes) from the triangles, 4-cycles and
+    5-cycles through each degree-2 vertex and the chords c_i c_{i+2} of its
+    5-cycles."""
+    t1, t2, roots, classes = set(), set(), set(), {}
+    for v in range(g.n):
+        if g.degree(v) != 2:
+            continue
+        if brute_cycles_through(g, v, 3):
+            (t2 if any(g.degree(w) == 2 for w in g.neighbors(v)) else t1).add(v)
+        else:
+            roots.add(v)
+        c4 = bool(brute_cycles_through(g, v, 4))
+        c5s = brute_cycles_through(g, v, 5)
+        chorded = any(g.has_edge(c[i], c[(i + 2) % 5]) for c in c5s for i in range(5))
+        classes[v] = 5 if chorded else 4 if c4 and c5s else 3 if c4 else 2 if c5s else 1
+    return t1, t2, roots, classes
+
+
 class TestStructureSets:
+    def test_match_brute_force(self):
+        # every graph with 3..7 vertices, and the saturation-process graphs
+        atlas = [h for h in nx.graph_atlas_g() if 3 <= h.number_of_nodes() <= 7]
+        graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in atlas]
+        seen = set()
+        for g in graphs + process_graphs():
+            t1, t2, roots, classes = brute_structure(g)
+            ts = t_sets(g)
+            assert (ts.t1, ts.t2) == (t1, t2), to_graph6(g)
+            assert good_roots(g) == roots, to_graph6(g)
+            assert theta_classes(g) == classes, to_graph6(g)
+            seen.update(classes.values())
+        assert seen == {1, 2, 3, 4, 5}
+
     def test_family_has_empty_t2_when_divisible(self):
         g, _ = build_construction(12)
         ts = t_sets(g)
