@@ -54,6 +54,8 @@ def _parse_range(text):
         a, b = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("expected integer endpoints")
+    if a < 1:
+        raise argparse.ArgumentTypeError("range must start at n >= 1")
     if a > b:
         raise argparse.ArgumentTypeError("empty range")
     return range(a, b + 1)

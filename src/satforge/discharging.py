@@ -107,9 +107,6 @@ class ChargeLedger:
     def n_class(self, x, i, tags):
         return len(self.nbrs_class(x, i, tags))
 
-    def charge(self, stage, v):
-        return self.stages[stage][v]
-
     def outer_sum(self, stage):
         charges = self.stages[stage]
         memo = self._outer_sums.get(stage)

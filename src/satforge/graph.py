@@ -1,6 +1,6 @@
-"""Compact undirected graph kernel: bitset adjacency, graph6 I/O, fixed-length
-path/cycle witnesses (through the search in :mod:`satforge.kernels`) and BFS
-layering.
+"""Compact undirected graph kernel: bitset adjacency, graph6 I/O, the
+`CyclePath` witness type, C_k witness cycles (through the search in
+:mod:`satforge.kernels`) and BFS layering.
 
 Vertices are 0..n-1 with n capped at 64 so each adjacency row is one machine
 word. Graphs are immutable; every mutator returns a new instance.
@@ -377,21 +377,6 @@ def write_graph6_file(path, graphs):
 # ---------------------------------------------------------------------------
 # traversal
 # ---------------------------------------------------------------------------
-
-def paths_between(g: Graph, u, v, length) -> list:
-    """All simple u-v paths with exactly `length` edges, lexicographic by
-    vertex sequence."""
-    if u == v:
-        raise GraphError("path endpoints must differ")
-    return [CyclePath._trusted(p, "path") for p in kernels.all_paths(g.adj, u, v, length)]
-
-
-def find_path(g: Graph, u, v, length, banned=0):
-    """Lexicographically least simple u-v path with `length` edges and no
-    inner vertex in `banned`, or None (always None when u == v)."""
-    p = kernels.least_path(g.adj, u, v, length, banned)
-    return None if p is None else CyclePath._trusted(p, "path")
-
 
 def contains_cycle(g: Graph, k):
     """A witness k-cycle, or None: the least (k-1)-path joining the ends of

@@ -12,19 +12,18 @@ the prefix as the final vertex. Every path to a fixed target v ends in v, so
 the paths to v are ordered by their prefixes: the first one met is the
 lexicographically least u-v path.
 
-- :func:`least_paths` records that first path for each target and stops once
-  every target is reached; :func:`witness_scan` and
-  ``saturation.check_saturated`` run it from each u with u's non-neighbours
-  above u as T.
-- :func:`least_path` and :func:`has_path` walk into the one target T = {v}.
-- :func:`all_paths` records every path met, in lexicographic order.
-- The walk never reaches u, so every path query with u == v finds nothing.
-  Cycles go through :func:`least_cycle` alone, behind :func:`has_cycle` and
-  ``graph.contains_cycle``: a cycle of k edges through u is a path of k - 1
-  edges from u to a neighbor of u, closed by the edge back. It walks from
-  each u into its neighbors above u, with the vertices below u banned: the
-  least vertex of a k-cycle is such a u, and its cycles use no vertex below
-  it.
+- :func:`least_paths` is the one query: it records that first path for each
+  target and stops once every target is reached. The rest are thin callers.
+  :func:`has_path` walks into the one target T = {v}. :func:`witness_scan`
+  and ``saturation.check_saturated`` walk from each u with u's
+  non-neighbours above u as T.
+- The walk never reaches u, so a path query with u == v finds nothing.
+  Cycles go through :func:`least_cycle` alone, behind
+  :func:`saturation_scan` and ``graph.contains_cycle``: a cycle of k edges
+  through u is a path of k - 1 edges from u to a neighbor of u, closed by
+  the edge back. It walks from each u into its neighbors above u, with the
+  vertices below u banned: the least vertex of a k-cycle is such a u, and
+  its cycles use no vertex below it.
 
 Pruning. Call a vertex allowed when it may be inner: neither banned nor u.
 Let U[0] = T, and let U[j+1] be the allowed vertices of the union of adj[x]
@@ -72,24 +71,19 @@ def _masks(adj, u, length, targets, banned):
     return masks
 
 
-def _record(out, prefix, ends, every):
-    """Store the path `prefix` + (v,) for each vertex v of `ends`, ascending:
-    appended to the list `out` when `every`, else as out[v]."""
+def _record(out, prefix, ends):
+    """Store out[v] = prefix + (v,) for each vertex v of the mask `ends`."""
     while ends:
         low = ends & -ends
         ends ^= low
         v = low.bit_length() - 1
-        if every:
-            out.append((*prefix, v))
-        else:
-            out[v] = (*prefix, v)
+        out[v] = (*prefix, v)
 
 
-def _walk(adj, masks, visited, path, left, remaining, out, every):
+def _walk(adj, masks, visited, path, left, remaining, out):
     """Extend `path` (its vertices are `visited`) by `left` >= 2 edges into the
-    target mask `remaining`. Records in `out` (when not None) the first path
-    met to each target, or with `every` each path met. Returns the targets
-    still unreached; with `every` no target counts as reached."""
+    target mask `remaining`, recording in `out` (when not None) the first path
+    met to each target. Returns the targets still unreached."""
     cand = adj[path[-1]] & masks[left - 1] & ~visited
     if left == 2:
         while cand:
@@ -97,11 +91,9 @@ def _walk(adj, masks, visited, path, left, remaining, out, every):
             cand ^= low
             w = low.bit_length() - 1
             hit = adj[w] & remaining & ~visited
-            if not hit:
-                continue
-            if out is not None:
-                _record(out, (*path, w), hit, every)
-            if not every:
+            if hit:
+                if out is not None:
+                    _record(out, (*path, w), hit)
                 remaining ^= hit
                 if not remaining:
                     return 0
@@ -110,24 +102,11 @@ def _walk(adj, masks, visited, path, left, remaining, out, every):
         low = cand & -cand
         cand ^= low
         path.append(low.bit_length() - 1)
-        remaining = _walk(adj, masks, visited | low, path, left - 1, remaining,
-                          out, every)
+        remaining = _walk(adj, masks, visited | low, path, left - 1, remaining, out)
         path.pop()
         if not remaining:
             return 0
     return remaining
-
-
-def _paths(adj, u, length, targets, banned, out, every):
-    """The walk from u; returns the mask of targets it did not reach."""
-    if not targets or not 0 < length < len(adj):
-        return targets
-    if length == 1:
-        if out is not None:
-            _record(out, (u,), adj[u] & targets, every)
-        return targets & ~adj[u]
-    masks = _masks(adj, u, length, targets, banned)
-    return _walk(adj, masks, 1 << u, [u], length, targets, out, every)
 
 
 def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
@@ -136,25 +115,14 @@ def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
     `banned`, found in one walk from u. Each path is stored as ``out[v]``
     when `out` (a dict) is given. Returns the mask of targets with no such
     path; u itself is never reached."""
-    return _paths(adj, u, length, targets, banned, out, False)
-
-
-def least_path(adj, u, v, length, banned=0):
-    """Lexicographically least simple u-v path with exactly `length` edges and
-    no inner vertex in `banned`, as a vertex tuple, or None. The walk never
-    reaches u, so with u == v it is None."""
-    out = {}
-    least_paths(adj, u, length, 1 << v, banned, out)
-    return out.get(v)
-
-
-def all_paths(adj, u, v, length, banned=0) -> list:
-    """Every simple u-v path with exactly `length` edges and no inner vertex in
-    `banned`, as vertex tuples in lexicographic order; [] when u == v, since
-    the walk never reaches u."""
-    out = []
-    _paths(adj, u, length, 1 << v, banned, out, True)
-    return out
+    if not targets or not 0 < length < len(adj):
+        return targets
+    if length == 1:
+        if out is not None:
+            _record(out, (u,), adj[u] & targets)
+        return targets & ~adj[u]
+    masks = _masks(adj, u, length, targets, banned)
+    return _walk(adj, masks, 1 << u, [u], length, targets, out)
 
 
 def has_path(adj, u, v, length) -> bool:
@@ -176,11 +144,6 @@ def least_cycle(adj, k):
         if out:
             return out[min(out)]
     return None
-
-
-def has_cycle(adj, k) -> bool:
-    """True iff the graph contains a cycle with exactly k edges."""
-    return least_cycle(adj, k) is not None
 
 
 def non_neighbors_above(adj, u) -> int:

@@ -319,6 +319,13 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--n-range", "12..9")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("span", ["0..2", "-3..1"])
+    def test_range_below_one_is_usage_error(self, capsys, span):
+        # no rows for n <= 0, where the lower bound 4n/3 - 2 is negative
+        code, out, err = run(capsys, "table", f"--n-range={span}")
+        assert code == EXIT_USAGE and out == ""
+        assert "n >= 1" in err
+
 
 class TestDeterminism:
     def test_construct_bytes_stable(self, tmp_path, capsys):

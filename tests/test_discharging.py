@@ -120,14 +120,14 @@ class TestInitialCharge:
         g, _ = build_construction(9)
         rc, ledger = _pipeline(g)
         v1 = ledger.level_set(1)
-        assert sum((ledger.charge("g", v) for v in v1), F(0)) == F(-2)
+        assert sum((ledger.stages["g"][v] for v in v1), F(0)) == F(-2)
 
     def test_v1_sum_pendant_root(self):
         g, _ = build_construction(13)  # epsilon = 1
         rc, ledger = _pipeline(g)
         assert rc.delta == 1
         v1 = ledger.level_set(1)
-        assert sum((ledger.charge("g", v) for v in v1), F(0)) == F(-5, 3)
+        assert sum((ledger.stages["g"][v] for v in v1), F(0)) == F(-5, 3)
 
     def test_classify_grid_guard(self):
         # a 7/6 gap value cannot appear; guard exercised via a crafted ledger

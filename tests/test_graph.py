@@ -14,9 +14,7 @@ from satforge.graph import (
     LevelError,
     bfs_levels,
     contains_cycle,
-    find_path,
     from_graph6,
-    paths_between,
     to_graph6,
 )
 
@@ -174,18 +172,27 @@ class TestGraph6:
 
 
 class TestPaths:
-    def test_find_path_lex_least(self):
+    def test_least_path_lex_least(self):
         g = Graph.from_edges(5, [(0, 1), (1, 4), (0, 2), (2, 4), (0, 3), (3, 4)])
-        assert find_path(g, 0, 4, 2).vertices == (0, 1, 4)
-
-    def test_paths_between_all(self):
-        g = Graph.cycle(6)
-        ps = paths_between(g, 0, 3, 3)
-        assert [p.vertices for p in ps] == [(0, 1, 2, 3), (0, 5, 4, 3)]
+        out = {}
+        assert kernels.least_paths(g.adj, 0, 2, 1 << 4, 0, out) == 0
+        assert out == {4: (0, 1, 4)}
 
     def test_banned_mask(self):
         g = Graph.from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
-        assert find_path(g, 0, 3, 2, banned=1 << 1).vertices == (0, 2, 3)
+        out = {}
+        assert kernels.least_paths(g.adj, 0, 2, 1 << 3, 1 << 1, out) == 0
+        assert out == {3: (0, 2, 3)}
+
+    @staticmethod
+    def brute_paths(g, u, v, length):
+        others = [w for w in range(g.n) if w not in (u, v)]
+        return [
+            p
+            for inner in itertools.permutations(others, length - 1)
+            for p in [(u, *inner, v)]
+            if all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+        ]
 
     def test_has_path_matches_enumeration(self, rng):
         from tests.conftest import random_connected_graph
@@ -196,7 +203,7 @@ class TestPaths:
                 for u in range(g.n):
                     for v in range(u + 1, g.n):
                         assert kernels.has_path(g.adj, u, v, length) == bool(
-                            paths_between(g, u, v, length)
+                            self.brute_paths(g, u, v, length)
                         )
 
 

@@ -2,10 +2,10 @@
 
 The reference enumerates the permutations of candidate inner vertices and keeps
 those that form a path, so it shares no code with the pruned walk: witnesses
-must be the exact lexicographic minimum and path lists the exact sorted list.
-A vertex paired with itself finds nothing: the walk never reaches u. A second
-reference, a DFS toward one target pruned by that target's own walk masks,
-checks the many-target walk on inputs too large for the permutations.
+must be the exact lexicographic minimum. A vertex paired with itself finds
+nothing: the walk never reaches u. A second reference, a DFS toward one target
+pruned by that target's own walk masks, checks the many-target walk on inputs
+too large for the permutations.
 """
 
 import functools
@@ -21,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import satforge
 from satforge import kernels
-from satforge.graph import (Graph, GraphError, contains_cycle, find_path, paths_between,
-                            to_graph6)
+from satforge.graph import Graph, contains_cycle, to_graph6
 from satforge.saturation import check_saturated
 
 
@@ -48,6 +47,15 @@ def brute_has_cycle(g, k):
             if all(g.has_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k)):
                 return True
     return False
+
+
+def least_path(adj, u, v, length, banned=0):
+    """The path that the single-target walk of least_paths records for v,
+    or None; the returned mask must say the same."""
+    out = {}
+    missed = kernels.least_paths(adj, u, length, 1 << v, banned, out)
+    assert missed == (0 if out else 1 << v)
+    return out.get(v)
 
 
 def random_graphs(count=40, n_max=9, seed=0xC6):
@@ -91,12 +99,12 @@ def test_python_path_and_cycle_basics():
     assert kernels.has_path(g.adj, 0, 3, 3)
     assert not kernels.has_path(g.adj, 0, 3, 4)
     assert not kernels.has_path(g.adj, 0, 0, 6)
-    assert kernels.has_cycle(g.adj, 6)
-    assert not kernels.has_cycle(g.adj, 5)
-    assert not kernels.has_cycle(g.adj, 2)  # an edge is not a 2-cycle
-    assert kernels.least_path(g.adj, 0, 0, 6) is None  # the walk never reaches u
-    assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1) == (0, 5, 4, 3)
-    assert kernels.least_path(g.adj, 0, 3, 3, banned=1 << 1 | 1 << 5) is None
+    assert kernels.least_cycle(g.adj, 6) is not None
+    assert kernels.least_cycle(g.adj, 5) is None
+    assert kernels.least_cycle(g.adj, 2) is None  # an edge is not a 2-cycle
+    assert least_path(g.adj, 0, 0, 6) is None  # the walk never reaches u
+    assert least_path(g.adj, 0, 3, 3, banned=1 << 1) == (0, 5, 4, 3)
+    assert least_path(g.adj, 0, 3, 3, banned=1 << 1 | 1 << 5) is None
 
 
 def test_walk_masks_are_walk_endpoints():
@@ -113,15 +121,14 @@ def test_walk_masks_are_walk_endpoints():
 
 
 def test_least_path_matches_brute_force(path_table):
+    # the single-target walk, as has_path runs it in the search
     for i, (g, banned) in enumerate(GRAPHS):
         for u, v in itertools.product(range(g.n), repeat=2):
             for length in LENGTHS:
                 ps = path_table[i, u, v, length] if u != v else []
-                assert kernels.least_path(g.adj, u, v, length) == min(ps, default=None)
+                assert least_path(g.adj, u, v, length) == min(ps, default=None)
                 want = min(avoiding(ps, banned), default=None)
-                assert kernels.least_path(g.adj, u, v, length, banned) == want
-                got = find_path(g, u, v, length, banned=banned)
-                assert (got and got.vertices) == want
+                assert least_path(g.adj, u, v, length, banned) == want
 
 
 def per_pair_least_path(adj, u, v, length, banned):
@@ -193,7 +200,8 @@ def test_least_paths_matches_per_pair_search_on_the_family(family):
 
 
 def test_least_paths_against_brute_force(path_table):
-    # independent of least_path: the minimum over every enumerated path
+    # independent of the per-pair reference: the minimum over every
+    # enumerated path
     for i, (g, banned) in enumerate(GRAPHS):
         for u in range(g.n):
             targets = kernels.non_neighbors_above(g.adj, u)
@@ -255,19 +263,6 @@ def test_per_pair_reference_matches_brute_force(path_table):
                 assert per_pair_least_path(g.adj, u, v, length, banned) == want
 
 
-def test_paths_between_matches_brute_force(path_table):
-    for i, (g, banned) in enumerate(GRAPHS):
-        for u, v in itertools.product(range(g.n), repeat=2):
-            for length in LENGTHS:
-                ps = path_table[i, u, v, length] if u != v else []
-                if u == v:
-                    with pytest.raises(GraphError):
-                        paths_between(g, u, v, length)
-                else:
-                    assert [p.vertices for p in paths_between(g, u, v, length)] == ps
-                assert kernels.all_paths(g.adj, u, v, length, banned) == avoiding(ps, banned)
-
-
 def test_existence_tests_match_brute_force(path_table):
     for i, (g, _) in enumerate(GRAPHS):
         for u, v in itertools.product(range(g.n), repeat=2):
@@ -276,7 +271,7 @@ def test_existence_tests_match_brute_force(path_table):
                     u != v and bool(path_table[i, u, v, length]))
         cycles = {k: brute_has_cycle(g, k) for k in range(3, 9)}
         for k, want in cycles.items():
-            assert kernels.has_cycle(g.adj, k) == want
+            assert (kernels.least_cycle(g.adj, k) is not None) == want
         for k in range(3, 8):
             want = not cycles[k] and all(path_table[i, u, v, k - 1]
                                          for u, v in g.non_edges())
