@@ -6,6 +6,7 @@ divisible by 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graph import MAX_VERTICES, Graph, GraphError
 from .saturation import check_saturated
@@ -34,20 +35,16 @@ class ConstructionSpec:
     labels: dict  # name -> vertex id, a bijection onto 0..n-1
 
 
-_g0_checked = False
-
-
+@cache
 def build_g0() -> Graph:
-    """The 9-vertex, 12-edge core; certified C_6-saturated on first build."""
-    global _g0_checked
+    """The 9-vertex, 12-edge core, certified C_6-saturated on its first
+    build; later calls return the same immutable graph."""
     idx = {name: i for i, name in enumerate(_CORE_LABELS)}
     g = Graph.from_edges(9, [(idx[a], idx[b]) for a, b in _CORE_EDGES])
-    if not _g0_checked:
-        if g.edge_count != 12:
-            raise ConstructionError("core must have 12 edges")
-        if not check_saturated(g, 6).saturated:
-            raise ConstructionError("core failed its saturation certificate")
-        _g0_checked = True
+    if g.edge_count != 12:
+        raise ConstructionError("core must have 12 edges")
+    if not check_saturated(g, 6).saturated:
+        raise ConstructionError("core failed its saturation certificate")
     return g
 
 

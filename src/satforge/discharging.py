@@ -57,11 +57,11 @@ class ChargeLedger:
     """The charges of one audit, stage by stage, over a distance layering.
 
     Level queries run on bitmasks: the ledger builds one vertex mask per
-    level once, from `partition.level_of`, so the level-i neighbors of x are
-    the bits of ``adj[x] & mask``.  They are listed in ascending order, on
-    which the order of transfers and of diagnostics depends.  Each stage's
-    sum outside V_1 is computed once, since no stage dict changes after it
-    is stored.
+    level once, so the level-i neighbors of x are the bits of
+    ``adj[x] & mask``.  Levels and neighbors are listed in ascending order,
+    on which the order of transfers, failures and diagnostics depends.  Each
+    stage's sum outside V_1 is computed once, since no stage dict changes
+    after it is stored.
     """
 
     graph: Graph
@@ -73,10 +73,8 @@ class ChargeLedger:
     _outer_sums: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        masks = {}
-        for v, i in enumerate(self.partition.level_of):
-            masks[i] = masks.get(i, 0) | 1 << v
-        self._level_masks = masks
+        self._level_masks = {i: sum(1 << v for v in level)
+                             for i, level in enumerate(self.partition.levels, 1)}
         self._outer_sums = {}  # stage name -> (its dict, the sum)
 
     # -- level helpers (levels are 1-based) --------------------------------
@@ -87,7 +85,7 @@ class ChargeLedger:
     def level_set(self, i):
         if 1 <= i <= self.partition.depth:
             return self.partition.levels[i - 1]
-        return frozenset()
+        return ()
 
     def nbrs_at(self, x, i):
         mask = self.graph.adj[x] & self._level_masks.get(i, 0)
@@ -164,11 +162,10 @@ def choose_root(g: Graph) -> RootChoice:
                     key=lambda v: (_four_cycles_through(g, g.neighbors(v)[0]), v))
         rationale = "min-4-cycles-at-neighbor"
     else:
-        roots = good_roots(g)
-        if not roots:
-            raise PreconditionError("no good root")
         classes = theta_classes(g)
-        alpha = min(roots, key=lambda v: (classes[v], v))
+        if not classes:
+            raise PreconditionError("no good root")
+        alpha = min(classes, key=lambda v: (classes[v], v))
         rationale = f"good-root-class-{classes[alpha]}"
         if classes[alpha] == 5:
             rationale += "-fallback"
@@ -282,7 +279,7 @@ def _paired_ones(ledger, i):
     """Adjacent 1/6-vertices a, b of level i that each have a unique level-(i-1)
     neighbor (ya, yb), as (a, b, ya, yb) in both orientations. The pairs are
     disjoint because each such vertex has exactly one same-level neighbor."""
-    for a in sorted(ledger.level_set(i)):
+    for a in ledger.level_set(i):
         ya = ledger.nbrs_at(a, i - 1)
         if ledger.classes.get(a) != "1" or len(ya) != 1:
             continue
@@ -302,7 +299,7 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
     # step 1: 2/3+ and 1/6 vertices send along class rules
     transfers = []
     for i in range(2, depth + 1):
-        for u in sorted(ledger.level_set(i)):
+        for u in ledger.level_set(i):
             tag = ledger.classes.get(u)
             if tag == "2":
                 skip = _c1_exclusions(ledger, u) if i == 5 else set()
@@ -337,7 +334,7 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
     transfers = []
     for i in (2, 3, 4):
         t = SIXTH if i in (2, 3) else THIRD
-        for y in sorted(ledger.level_set(i)):
+        for y in ledger.level_set(i):
             if ledger.classes.get(y) not in MINUS or g2[y] >= 0:
                 continue
             for z in ledger.nbrs_class(y, i + 1, ("1",)):
@@ -349,7 +346,7 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
 
     # step 5: remaining negatives in V_4 drain their 1/6-class V_5 neighbors
     transfers = []
-    for y in sorted(ledger.level_set(4)):
+    for y in ledger.level_set(4):
         if ledger.classes.get(y) not in MINUS or g4[y] >= 0:
             continue
         for z in ledger.nbrs_class(y, 5, ("1",)):
@@ -372,7 +369,7 @@ def _empty_level(ledger, charges, i, step, split=None, negatives_send=False):
     pattern when one applies and in equal shares otherwise. Negative vertices
     send only when `negatives_send` is set."""
     transfers, senders = [], []
-    for w in sorted(ledger.level_set(i)):
+    for w in ledger.level_set(i):
         if charges[w] < 0 and not negatives_send:
             continue
         down = ledger.nbrs_at(w, i - 1)  # non-empty: w is at distance i >= 2
@@ -433,7 +430,7 @@ def _split_exception(ledger, w, down):
 
 def _stage2_step2(ledger, f1):
     transfers = []
-    for z in sorted(ledger.level_set(4)):
+    for z in ledger.level_set(4):
         needy = [z2 for z2 in ledger.nbrs_at(z, 4) if f1[z2] < 0]
         if needy and f1[z] >= SIXTH * len(needy):
             for z2 in needy:
@@ -472,7 +469,7 @@ def _stage2_step4(ledger, f3):
         snap_s[v] = sum((-f3[z] for z in ledger.nbrs_at(v, 4) if f3[z] < 0), F(0))
     funded = set()
     transfers = []
-    for y in sorted(ledger.level_set(3)):
+    for y in ledger.level_set(3):
         needy = [z for z in ledger.nbrs_at(y, 4) if f3[z] < 0]
         live = [z for z in needy if z not in funded]
         if len(live) != len(needy):
@@ -495,7 +492,7 @@ def _stage2_step4(ledger, f3):
 def _stage2_step5(ledger, f4):
     funded = set()
     transfers = []
-    for y in sorted(ledger.level_set(3)):
+    for y in ledger.level_set(3):
         live = [z for z in ledger.nbrs_at(y, 4) if f4[z] < 0 and z not in funded]
         need = sum((-f4[z] for z in live), F(0))
         if live and f4[y] >= need:
@@ -517,7 +514,7 @@ def _stage2_step7(ledger, f6):
     f7 = _empty_level(ledger, f6, 3, 7)
     # debt settlement
     funded = set()
-    for x in sorted(ledger.level_set(2)):
+    for x in ledger.level_set(2):
         up = ledger.nbrs_at(x, 3)
         pool = set(up)
         for y in up:
@@ -720,11 +717,11 @@ def audit(g: Graph) -> DischargeAudit:
     return out
 
 
-def render_stage_table(ledger: ChargeLedger, stages=None) -> str:
-    """One row per vertex with exact p/q charge rendering."""
-    names = list(stages) if stages else list(ledger.stages)
-    lines = ["vertex level " + " ".join(f"{s:>8}" for s in names)]
+def render_stage_table(ledger: ChargeLedger, stages) -> str:
+    """One row per vertex with exact p/q charge rendering, one column per
+    name in the list `stages`."""
+    lines = ["vertex level " + " ".join(f"{s:>8}" for s in stages)]
     for v in range(ledger.graph.n):
-        cells = " ".join(f"{str(ledger.stages[s][v]):>8}" for s in names)
+        cells = " ".join(f"{str(ledger.stages[s][v]):>8}" for s in stages)
         lines.append(f"{v:>6} {ledger.level(v):>5} {cells}")
     return "\n".join(lines)

@@ -97,23 +97,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    @classmethod
-    def complete(cls, n):
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
-
-    @classmethod
-    def cycle(cls, n):
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def path(cls, n):
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def star(cls, n):
-        return cls.from_edges(n, [(0, i) for i in range(1, n)])
-
     # -- basic accessors ---------------------------------------------------
 
     def degree(self, v):
@@ -180,25 +163,6 @@ class Graph:
         edges = [(perm[u], perm[v]) for u, v in self.edges()]
         return Graph.from_edges(self.n, edges)
 
-    def distances_from(self, root):
-        if not 0 <= root < self.n:
-            raise GraphError(f"vertex {root} outside 0..{self.n - 1}")
-        dist = [-1] * self.n
-        dist[root] = 0
-        frontier = 1 << root
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-            for v in _bits(frontier):
-                dist[v] = d
-        return dist
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -262,11 +226,11 @@ class CyclePath(_CyclePathFields):
 @dataclass(frozen=True)
 class LevelPartition:
     """Distance layering from a root: levels[0] is the closed neighborhood,
-    levels[i] the vertices at distance i+1."""
+    levels[i] the vertices at distance i+1, each an ascending vertex tuple;
+    `level_of[v]` is v's 1-based level."""
 
-    root: int
-    levels: tuple  # tuple of frozensets, levels[0] = V_1 = N[root]
-    level_of: tuple = field(repr=False, default=())
+    levels: tuple
+    level_of: tuple = field(repr=False)
 
     def level(self, v):
         return self.level_of[v]
@@ -392,18 +356,20 @@ def bfs_levels(g: Graph, root, max_level) -> LevelPartition:
     Raises LevelError when a vertex is unreachable or deeper than max_level.
     """
     if not 0 <= root < g.n:
-        raise GraphError(f"root {root} out of range")
-    dist = g.distances_from(root)
-    if any(d < 0 for d in dist):
+        raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
+    adj = g.adj
+    frontier = seen = adj[root] | 1 << root  # root and its neighbors share V_1
+    levels, level_of = [], [0] * g.n
+    while frontier:
+        levels.append(tuple(_bits(frontier)))
+        nxt = 0
+        for v in levels[-1]:
+            nxt |= adj[v]
+            level_of[v] = len(levels)
+        frontier = nxt & ~seen
+        seen |= frontier
+    if seen != (1 << g.n) - 1:
         raise LevelError("graph is disconnected from the root")
-    ecc = max(dist)
-    if ecc > max_level:
-        raise LevelError(f"vertex at distance {ecc} exceeds max level {max_level}")
-    depth = max(1, ecc)
-    levels = [set() for _ in range(depth)]
-    level_of = [0] * g.n
-    for v, d in enumerate(dist):
-        idx = max(d, 1) - 1  # root and its neighbors share V_1
-        levels[idx].add(v)
-        level_of[v] = idx + 1
-    return LevelPartition(root, tuple(frozenset(s) for s in levels), tuple(level_of))
+    if len(levels) > max_level:
+        raise LevelError(f"vertex at distance {len(levels)} exceeds max level {max_level}")
+    return LevelPartition(tuple(levels), tuple(level_of))

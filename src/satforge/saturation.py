@@ -1,5 +1,5 @@
 """C_k-freeness and saturation certificates, plus the structural vertex sets
-(T, T_1, T_2, good roots, degree-2 cycle classes) used by the audit pipeline.
+(T, T_1, T_2, good roots and their cycle classes) used by the audit pipeline.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class BookkeepingError(GraphError):
 @dataclass(frozen=True)
 class SaturationReport:
     k: int
-    free: bool
     free_violation: CyclePath | None
     witnesses: dict  # non-edge (u,v) -> k-cycle through it in G+uv
     verdict: str  # "saturated" | "not-free" | "missing-witness"
@@ -30,14 +29,6 @@ class SaturationReport:
     @property
     def saturated(self):
         return self.verdict == "saturated"
-
-    def to_lines(self):
-        """Line-oriented certificate: one `u v : c1 .. ck` row per non-edge."""
-        out = []
-        for (u, v) in sorted(self.witnesses):
-            cyc = self.witnesses[(u, v)]
-            out.append(f"{u} {v} : " + " ".join(str(c) for c in cyc.vertices))
-        return out
 
 
 def check_saturated(g: Graph, k: int) -> SaturationReport:
@@ -51,7 +42,7 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
         raise PreconditionError("cycle length must be at least 3")
     violation = contains_cycle(g, k)
     if violation is not None:
-        return SaturationReport(k, False, violation, {}, "not-free")
+        return SaturationReport(k, violation, {}, "not-free")
     witnesses = {}
     missing = None
     trusted = CyclePath._trusted
@@ -64,8 +55,8 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
         for v in sorted(paths):
             witnesses[(u, v)] = trusted(paths[v], "cycle")
     if missing is not None:
-        return SaturationReport(k, True, None, witnesses, "missing-witness", missing)
-    return SaturationReport(k, True, None, witnesses, "saturated")
+        return SaturationReport(k, None, witnesses, "missing-witness", missing)
+    return SaturationReport(k, None, witnesses, "saturated")
 
 
 def is_saturated_fast(g: Graph, k: int) -> bool:
@@ -123,31 +114,32 @@ def good_roots(g: Graph) -> frozenset:
 
 
 def theta_classes(g: Graph) -> dict:
-    """Classify every degree-2 vertex by its short-cycle environment, as a
-    vertex -> class dict.
+    """Classify every good root by its short-cycle environment, as a
+    vertex -> class dict keyed by the good roots.
 
     Class 5 = on a chorded 5-cycle; class 4 = on both a 4- and 5-cycle but no
     chorded one; class 3 = 4-cycle only; class 2 = 5-cycle only; class 1 =
-    neither. Classes 1..5 partition the degree-2 vertices.
+    neither. Classes 1..5 partition the good roots.
 
     For v with neighbors a < b: v is on a 4-cycle iff a and b have a common
     neighbor other than v, and on a 5-cycle v-a-x-y-b iff some path a-x-y-b
-    avoids v. Such a cycle is chorded iff ab, ay or xb is an edge, since v
-    has no other neighbors.
+    avoids v. a and b are not adjacent, so such a cycle is chorded iff ay or
+    xb is an edge, since v has no other neighbors.
     """
     adj = g.adj
     classes = {}
     for v, a, b in _degree_two(g):
+        if adj[a] >> b & 1:
+            continue  # v lies in a triangle: not a good root
         c4 = adj[a] & adj[b] & ~(1 << v)
-        ab = adj[a] >> b & 1
         c5 = chorded = False
         for x in g.neighbors(a):
-            if x in (v, b):
+            if x == v:
                 continue
             ys = adj[x] & adj[b] & ~(1 << v | 1 << a)
             if ys:
                 c5 = True
-                if ab or adj[a] & ys or adj[b] >> x & 1:
+                if adj[a] & ys or adj[b] >> x & 1:
                     chorded = True
                     break
         classes[v] = (5 if chorded else 4 if c4 and c5 else 3 if c4

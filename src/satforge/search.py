@@ -507,19 +507,9 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     code, _, generators = canonical_form(empty)
     level = {code: (empty, b"".join(generators))}
     result.level_sizes[0] = 1
+    m = 0
     try:
-        if n == 1:  # K_1 has no non-edge to test
-            result.min_edges = 0
-            result.graphs = [empty]
-        m = 0
-        while result.min_edges is None:
-            m += 1
-            level = _next_level(level, k, budget)
-            if not level:
-                # every later level would be empty too, and with no node to
-                # tick no budget would end the loop
-                raise EmptyLevelError(f"level m = {m} is empty: classes were lost")
-            result.level_sizes[m] = len(level)
+        while True:
             # a C_k-saturated graph is connected, since an edge between two
             # components would close no cycle, so it has at least n-1 edges
             if m >= n - 1:
@@ -530,6 +520,14 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
                 if hits:
                     result.min_edges = m
                     result.graphs = [canonical_graph(g) for g in hits]
+                    break
+            m += 1
+            level = _next_level(level, k, budget)
+            if not level:
+                # every later level would be empty too, and with no node to
+                # tick no budget would end the loop
+                raise EmptyLevelError(f"level m = {m} is empty: classes were lost")
+            result.level_sizes[m] = len(level)
     except BudgetExhausted:
         result.status = "budget-exhausted"
     result.nodes = budget.spent

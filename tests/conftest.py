@@ -46,6 +46,23 @@ def corpus(family, extremal9):
     return list(family.values()) + list(extremal9.graphs)
 
 
+def complete_graph(n):
+    full = (1 << n) - 1
+    return Graph(n, [full ^ (1 << v) for v in range(n)])
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(n):
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
 def random_connected_graph(rng, n_max=12):
     """Random connected graph: a random spanning tree plus random extra edges."""
     n = rng.randint(2, n_max)

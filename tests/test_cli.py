@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import satforge
+from satforge import cli
 from satforge.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -13,8 +14,10 @@ from satforge.cli import (
     EXIT_VERDICT,
     main,
 )
-from satforge.graph import Graph, read_graph6_file, to_graph6, write_graph6_file
+from satforge.discharging import DischargeAudit
+from satforge.graph import read_graph6_file, to_graph6, write_graph6_file
 from satforge.search import EmptyLevelError
+from tests.conftest import complete_graph, cycle_graph, path_graph
 
 
 def run(capsys, *argv):
@@ -35,7 +38,7 @@ def usage_error(capsys, *argv):
 
 def write_non_ascii(path):
     """A valid record, then a line of bytes that are not ASCII."""
-    path.write_bytes(to_graph6(Graph.cycle(6)).encode() + b"\n\x7fELF\xff\xfe\n")
+    path.write_bytes(to_graph6(cycle_graph(6)).encode() + b"\n\x7fELF\xff\xfe\n")
 
 
 def assert_non_ascii_error(stderr, path):
@@ -44,7 +47,7 @@ def assert_non_ascii_error(stderr, path):
 
 def write_malformed(path):
     """A valid record, then a 9-vertex record one body byte short."""
-    path.write_text(to_graph6(Graph.cycle(6)) + "\nH?????\n")
+    path.write_text(to_graph6(cycle_graph(6)) + "\nH?????\n")
 
 
 def assert_malformed_error(stderr, path):
@@ -84,7 +87,7 @@ class TestCheck:
 
     def test_cycle_fails_with_witness(self, tmp_path, capsys):
         path = tmp_path / "c6.g6"
-        write_graph6_file(path, [Graph.cycle(6)])
+        write_graph6_file(path, [cycle_graph(6)])
         code, stdout, _ = run(capsys, "check", str(path), "--k", "6")
         assert code == EXIT_VERDICT
         assert "not-free" in stdout and "cycle=" in stdout
@@ -222,17 +225,42 @@ class TestAudit:
 
     def test_delta3_shortcut(self, tmp_path, capsys):
         path = tmp_path / "k5.g6"
-        write_graph6_file(path, [Graph.complete(5)])
+        write_graph6_file(path, [complete_graph(5)])
         code, stdout, _ = run(capsys, "audit", str(path))
         assert code == EXIT_OK
         assert "branch=delta>=3" in stdout
 
     def test_non_saturated_fails(self, tmp_path, capsys):
         path = tmp_path / "p7.g6"
-        write_graph6_file(path, [Graph.path(7)])
+        write_graph6_file(path, [path_graph(7)])
         code, stdout, _ = run(capsys, "audit", str(path))
         assert code == EXIT_VERDICT
         assert "audit error" in stdout
+
+    # no known input fires a rule diagnostic, and the one check known to
+    # fail is still under triage, so these audit results are stubbed
+    def stub_audit(self, tmp_path, capsys, monkeypatch, **fields):
+        path = tmp_path / "g.g6"
+        run(capsys, "construct", "--n", "9", "--out", str(path))
+        monkeypatch.setattr(cli, "run_audit",
+                            lambda g: DischargeAudit("full", 9, 12, True, **fields))
+        return path
+
+    def test_strict_levels_fails_on_a_diagnostic(self, tmp_path, capsys, monkeypatch):
+        path = self.stub_audit(tmp_path, capsys, monkeypatch,
+                               diagnostics=["ambiguous 2/3-1/3 split at 4; least id wins"])
+        code, stdout, _ = run(capsys, "audit", str(path))
+        assert code == EXIT_OK
+        assert "e>=10: pass\n  note: ambiguous 2/3-1/3 split at 4; least id wins\n" in stdout
+        code, _, _ = run(capsys, "audit", str(path), "--strict-levels")
+        assert code == EXIT_VERDICT
+
+    def test_failure_is_printed(self, tmp_path, capsys, monkeypatch):
+        path = self.stub_audit(tmp_path, capsys, monkeypatch,
+                               failures=["weak conditional bound violated at 2"])
+        code, stdout, _ = run(capsys, "audit", str(path))
+        assert code == EXIT_VERDICT
+        assert "e>=10: FAIL\n  failure: weak conditional bound violated at 2\n" in stdout
 
 
 class TestTable:

@@ -1,5 +1,6 @@
 import pytest
 
+from satforge import construction
 from satforge.construction import (
     ConstructionError,
     build_construction,
@@ -7,7 +8,7 @@ from satforge.construction import (
     lower_bound_edges,
     upper_bound_edges,
 )
-from satforge.saturation import check_saturated, good_roots, t_sets
+from satforge.saturation import SaturationReport, check_saturated, good_roots, t_sets
 
 
 class TestCore:
@@ -21,6 +22,30 @@ class TestCore:
 
     def test_core_is_saturated(self):
         assert check_saturated(build_g0(), 6).saturated
+
+    def test_core_is_certified_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(construction, "check_saturated",
+                            lambda g, k: calls.append(k) or check_saturated(g, k))
+        build_g0.cache_clear()
+        assert build_g0() is build_g0()
+        build_construction(12)
+        assert calls == [6]
+
+    def test_core_checks_raise_every_time(self, monkeypatch):
+        # a failed build is not cached, so each call checks and raises again
+        build_g0.cache_clear()
+        monkeypatch.setattr(construction, "_CORE_EDGES", construction._CORE_EDGES[1:])
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="12 edges"):
+                build_g0()
+        monkeypatch.undo()
+        monkeypatch.setattr(construction, "check_saturated",
+                            lambda g, k: SaturationReport(k, None, {}, "missing-witness",
+                                                          (0, 2)))
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="certificate"):
+                build_construction(9)
 
 
 class TestFamily:

@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import itertools
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -21,9 +23,17 @@ from satforge.discharging import (
     stage_one,
     stage_two,
 )
-from satforge.graph import Graph
+from satforge.graph import LevelError, bfs_levels, from_graph6
 from satforge.saturation import PreconditionError
-from tests.conftest import CHECK_MESSAGES, failures_of, process_graphs, random_connected_graph
+from tests.conftest import (
+    CHECK_MESSAGES,
+    complete_graph,
+    cycle_graph,
+    failures_of,
+    path_graph,
+    process_graphs,
+    random_connected_graph,
+)
 
 
 def brute_four_cycle_diagonals(g, u):
@@ -91,8 +101,8 @@ class TestRootChoice:
         assert g.degree(rc.alpha) == 1
 
     def test_four_cycle_count_pins(self):
-        assert [_four_cycles_through(Graph.cycle(4), u) for u in range(4)] == [2] * 4
-        assert [_four_cycles_through(Graph.complete(4), u) for u in range(4)] == [0] * 4
+        assert [_four_cycles_through(cycle_graph(4), u) for u in range(4)] == [2] * 4
+        assert [_four_cycles_through(complete_graph(4), u) for u in range(4)] == [0] * 4
 
     def test_four_cycle_count_matches_brute_force(self, rng):
         for _ in range(40):
@@ -102,7 +112,7 @@ class TestRootChoice:
 
     def test_high_min_degree_rejected(self):
         with pytest.raises(PreconditionError):
-            choose_root(Graph.complete(5))
+            choose_root(complete_graph(5))
 
 
 class TestInitialCharge:
@@ -111,7 +121,9 @@ class TestInitialCharge:
         while checked < 60:
             g = random_connected_graph(rng, n_max=10)
             root = rng.randrange(g.n)
-            if max(g.distances_from(root)) > 5:
+            try:
+                bfs_levels(g, root, 5)
+            except LevelError:
                 continue
             assert charge_identity_holds(g, root)
             checked += 1
@@ -131,7 +143,7 @@ class TestInitialCharge:
 
     def test_classify_grid_guard(self):
         # a 7/6 gap value cannot appear; guard exercised via a crafted ledger
-        g = Graph.cycle(7)
+        g = cycle_graph(7)
         ledger = level_charges(g, 0)
         classify(ledger)  # cycle charges sit exactly on the grid
         assert set(ledger.classes.values()) <= {"-1", "-2", "1", "2"}
@@ -171,8 +183,8 @@ class TestFrozenFixture:
         g, _ = build_construction(9)
         rc, ledger = _pipeline(g)
         assert rc.alpha == 6
-        assert ledger.level_set(1) == frozenset({0, 6, 7})
-        assert ledger.level_set(3) == frozenset({4, 5})
+        assert ledger.level_set(1) == (0, 6, 7)
+        assert ledger.level_set(3) == (4, 5)
         assert ledger.stages["g"] == self.G
         assert ledger.stages["g5"] == self.G  # stage one is a no-op here
         assert ledger.stages["f7"] == self.F7
@@ -236,13 +248,13 @@ class TestAudit:
 
     def test_complete_graph_delta3_branch(self):
         for n in (4, 5):
-            a = audit(Graph.complete(n))
+            a = audit(complete_graph(n))
             assert a.branch == "delta>=3"
             assert a.passed
 
     def test_tiny_complete_graphs(self):
         for n in (1, 2, 3):
-            a = audit(Graph.complete(n))
+            a = audit(complete_graph(n))
             assert a.branch == "complete-graph"
             assert a.passed
 
@@ -298,7 +310,7 @@ class TestAudit:
 
     def test_non_saturated_rejected(self):
         with pytest.raises(PreconditionError):
-            audit(Graph.path(7))
+            audit(path_graph(7))
 
     def test_extremal_graphs(self, extremal9):
         for g in extremal9.graphs:
@@ -351,3 +363,82 @@ def test_each_check_failure_is_found_by_name(check, monkeypatch):
     a = audit(g)
     assert failures_of(a, check), a.failures
     assert not a.passed
+
+
+# seed-1 benchmark records (satbench/workloads.py) that reach discharging
+# rules no other test reaches: record -> (failures, V_1 sum, audit_digest)
+# the only one of the 356 saturated records on which _pendant_split splits
+PENDANT_SPLIT = "T?U?ot_?KGSCWD_@@A???@AICGG??K?IaR@@"
+# a degree-3 class-2 V_5 vertex reaches _c1_exclusions' next test
+C1_SENDERS = "M_?g?cGoEceOD`GG_"
+# _split_exception tries its 2/3-1/3 and its 1/2-1/4-1/4 pattern
+SPLIT_TWO = "O@K?GK@CDpN?O@_OGGOLB"
+SPLIT_THREE = "PM??HoC`L_?AAOAg`GW_o@H?"
+RULE_RECORDS = {
+    PENDANT_SPLIT: (["weak conditional bound violated at 2"], F(-5, 3),
+                    "a80316bf4e1146614538a587bb00fbe1b3fc584019a1324df3413d857888b0b5"),
+    C1_SENDERS: ([], F(-2),
+                 "0fc562e9d0be118b43bed2d73d8f4499c049af76e320c9791065b8032d507d79"),
+    SPLIT_TWO: ([], F(-5, 3),
+                "1a6a287b487bbf13379dbd86309f29ba105533aa079ef73bba8adcc240d12e32"),
+    SPLIT_THREE: ([], F(-2),
+                  "f0deffbc837a6322dd4dfc3eb8524b23772ec408ee84e95cdcb7e08677a4d6f2"),
+}
+
+
+def lines_run(fn, call):
+    """The source lines of `fn`, stripped, that ran during `call()`."""
+    code, ran = fn.__code__, set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    lines, start = inspect.getsourcelines(fn)
+    return {lines[n - start].strip() for n in ran}
+
+
+class TestRareRules:
+    @pytest.mark.parametrize("record", sorted(RULE_RECORDS))
+    def test_audit_is_pinned(self, record):
+        failures, v1_sum, digest = RULE_RECORDS[record]
+        g = from_graph6(record)
+        a = audit(g)
+        assert (a.branch, a.failures, a.v1_sum) == ("full", failures, v1_sum)
+        assert audit_digest([g]) == digest  # and with it every stage dict
+
+    def test_pendant_split_splits(self, monkeypatch):
+        splits, rule = [], discharging._pendant_split
+
+        def spy(ledger, z, up):
+            out = rule(ledger, z, up)
+            if out is not None:
+                splits.append((z, out))
+            return out
+
+        monkeypatch.setattr(discharging, "_pendant_split", spy)
+        audit(from_graph6(PENDANT_SPLIT))
+        assert splits == [(16, [(17, F(1, 2)), (5, F(1, 4)), (10, F(1, 4))])]
+
+    # these rules return nothing on every seeded record, so whether their
+    # guarded code ran shows only in the lines traced
+    def test_c1_exclusions_past_the_degree_test(self):
+        ran = lines_run(discharging._c1_exclusions, lambda: audit(from_graph6(C1_SENDERS)))
+        assert "down = ledger.nbrs_class(u, 4, MINUS)" in ran
+
+    @pytest.mark.parametrize("record, line", [
+        # the 2/3-1/3 pattern: a degree-3 V_5 sender with two V_4 neighbours
+        (SPLIT_TWO, "z1z2 = [z for z in down if ledger.classes.get(z) in MINUS]"),
+        # the 1/2-1/4-1/4 pattern: three V_4 neighbours
+        (SPLIT_THREE, "if all(ledger.classes.get(z) in MINUS for z in down):"),
+    ])
+    def test_split_exception_pattern_is_tried(self, record, line):
+        assert line in lines_run(discharging._split_exception,
+                                 lambda: audit(from_graph6(record)))

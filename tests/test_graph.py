@@ -17,6 +17,7 @@ from satforge.graph import (
     from_graph6,
     to_graph6,
 )
+from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def random_graph_strategy(n_max=12):
@@ -48,16 +49,16 @@ class TestBasics:
             Graph(2, [0b10, 0b00])
 
     def test_immutable(self):
-        g = Graph.path(3)
+        g = path_graph(3)
         with pytest.raises(AttributeError):
             g.n = 5
 
     def test_with_without_edge(self):
-        g = Graph.path(3)
+        g = path_graph(3)
         g2 = g.with_edge(0, 2)
         assert g2.edge_count == 3 and g.edge_count == 2
         assert g2.without_edge(0, 2) == g
-        g = Graph.path(5)
+        g = path_graph(5)
         for call, u, v in ((g.with_edge, 0, 7), (g.with_edge, -5, 2),
                            (g.with_edge, 0, 5), (g.without_edge, -1, 3),
                            (g.without_edge, 4, 5), (g.has_edge, -1, 3),
@@ -66,8 +67,8 @@ class TestBasics:
                 call(u, v)
 
     def test_vertex_range_errors(self):
-        g = Graph.path(5)
-        for call in (g.degree, g.neighbors, g.distances_from):
+        g = path_graph(5)
+        for call in (g.degree, g.neighbors, lambda v: bfs_levels(g, v, 5)):
             for v in (-1, 5, 7):
                 with pytest.raises(GraphError, match="outside 0..4"):
                     call(v)
@@ -89,17 +90,17 @@ class TestBasics:
                 assert abs(child.edge_count - g.edge_count) == 1
 
     def test_named_families(self):
-        assert Graph.complete(5).edge_count == 10
-        assert Graph.cycle(6).degrees() == [2] * 6
-        assert Graph.star(7).degrees() == [6] + [1] * 6
+        assert complete_graph(5).edge_count == 10
+        assert cycle_graph(6).degrees() == [2] * 6
+        assert star_graph(7).degrees() == [6] + [1] * 6
 
     def test_delete_vertices_renumbers(self):
-        g = Graph.cycle(5)
+        g = cycle_graph(5)
         h = g.delete_vertices({0})
         assert h.n == 4 and h.edge_count == 3
 
     def test_non_edges_complement(self):
-        g = Graph.cycle(5)
+        g = cycle_graph(5)
         assert len(g.non_edges()) + g.edge_count == 10
 
 
@@ -166,7 +167,7 @@ class TestGraph6:
             from_graph6("D")
 
     def test_large_n_header(self):
-        g = Graph.path(63)
+        g = path_graph(63)
         assert to_graph6(g).startswith("~")
         assert from_graph6(to_graph6(g)) == g
 
@@ -230,7 +231,7 @@ class TestCycles:
                     found.validate(g)
 
     def test_cycle_graph_has_only_its_length(self):
-        g = Graph.cycle(6)
+        g = cycle_graph(6)
         assert contains_cycle(g, 6) is not None
         for k in (2, 3, 4, 5):
             assert contains_cycle(g, k) is None
@@ -238,9 +239,9 @@ class TestCycles:
 
 class TestLevels:
     def test_closed_neighborhood_is_first_level(self):
-        g = Graph.path(6)
+        g = path_graph(6)
         part = bfs_levels(g, 0, 5)
-        assert part.levels[0] == frozenset({0, 1})
+        assert part.levels[0] == (0, 1)
         assert part.level(0) == part.level(1) == 1
         assert part.level(5) == 5
 
@@ -251,4 +252,4 @@ class TestLevels:
 
     def test_depth_overflow_raises(self):
         with pytest.raises(LevelError):
-            bfs_levels(Graph.path(9), 0, 5)
+            bfs_levels(path_graph(9), 0, 5)

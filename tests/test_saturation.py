@@ -19,30 +19,36 @@ from satforge.saturation import (
     theta_classes,
 )
 from satforge.search import are_isomorphic
-from tests.conftest import process_graphs
+from tests.conftest import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    process_graphs,
+    star_graph,
+)
 
 
 class TestCheckSaturated:
     def test_star_is_triangle_saturated(self):
-        rep = check_saturated(Graph.star(6), 3)
+        rep = check_saturated(star_graph(6), 3)
         assert rep.saturated
-        assert len(rep.witnesses) == len(Graph.star(6).non_edges())
+        assert len(rep.witnesses) == len(star_graph(6).non_edges())
         for (u, v), cyc in rep.witnesses.items():
             assert cyc.length == 3
             assert {u, v} <= set(cyc.vertices)
 
     def test_cycle_is_not_free(self):
-        rep = check_saturated(Graph.cycle(6), 6)
+        rep = check_saturated(cycle_graph(6), 6)
         assert rep.verdict == "not-free"
         assert rep.free_violation.length == 6
 
     def test_path_misses_witness(self):
-        rep = check_saturated(Graph.path(6), 6)
+        rep = check_saturated(path_graph(6), 6)
         assert rep.verdict == "missing-witness"
         assert rep.missing is not None
 
     def test_complete_graph_vacuous(self):
-        assert check_saturated(Graph.complete(5), 6).saturated
+        assert check_saturated(complete_graph(5), 6).saturated
 
     def test_witness_cycles_validate(self):
         g, _ = build_construction(12)
@@ -76,15 +82,9 @@ class TestCheckSaturated:
             assert list(clone(rep).witnesses) == list(rep.witnesses)
             assert type(next(iter(clone(rep).witnesses.values()))) is CyclePath
 
-    def test_to_lines_format(self):
-        rep = check_saturated(Graph.star(4), 3)
-        lines = rep.to_lines()
-        assert len(lines) == 3
-        assert all(":" in line for line in lines)
-
     def test_k_below_three_rejected(self):
         with pytest.raises(PreconditionError):
-            check_saturated(Graph.path(3), 2)
+            check_saturated(path_graph(3), 2)
 
     def test_fast_path_agrees(self, rng):
         from tests.conftest import random_connected_graph
@@ -105,17 +105,17 @@ def brute_cycles_through(g, v, k):
 
 
 def brute_structure(g):
-    """(t1, t2, good roots, theta classes) from the triangles, 4-cycles and
-    5-cycles through each degree-2 vertex and the chords c_i c_{i+2} of its
-    5-cycles."""
+    """(t1, t2, good roots, theta classes of the good roots) from the
+    triangles, 4-cycles and 5-cycles through each degree-2 vertex and the
+    chords c_i c_{i+2} of its 5-cycles."""
     t1, t2, roots, classes = set(), set(), set(), {}
     for v in range(g.n):
         if g.degree(v) != 2:
             continue
         if brute_cycles_through(g, v, 3):
             (t2 if any(g.degree(w) == 2 for w in g.neighbors(v)) else t1).add(v)
-        else:
-            roots.add(v)
+            continue
+        roots.add(v)
         c4 = bool(brute_cycles_through(g, v, 4))
         c5s = brute_cycles_through(g, v, 5)
         chorded = any(g.has_edge(c[i], c[(i + 2) % 5]) for c in c5s for i in range(5))
@@ -134,6 +134,7 @@ class TestStructureSets:
             ts = t_sets(g)
             assert (ts.t1, ts.t2) == (t1, t2), to_graph6(g)
             assert good_roots(g) == roots, to_graph6(g)
+            assert set(theta_classes(g)) == good_roots(g), to_graph6(g)
             assert theta_classes(g) == classes, to_graph6(g)
             seen.update(classes.values())
         assert seen == {1, 2, 3, 4, 5}
@@ -180,10 +181,8 @@ class TestStructureSets:
         assert set(classes.values()) <= {1, 2, 3, 4, 5}
 
     def test_theta_cycle_membership(self):
-        g = Graph.cycle(5)
-        assert all(c == 2 for c in theta_classes(g).values())
-        g4 = Graph.cycle(4)
-        assert all(c == 3 for c in theta_classes(g4).values())
+        assert theta_classes(cycle_graph(5)) == dict.fromkeys(range(5), 2)
+        assert theta_classes(cycle_graph(4)) == dict.fromkeys(range(4), 3)
 
 
 class TestDegreeSum:

@@ -22,6 +22,7 @@ from satforge.search import (
     save_result,
     summary_table,
 )
+from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 
 # canonical graph6 of the five sat(9, C_6) classes, in canonical-code order,
@@ -39,11 +40,11 @@ def _cube():
 
 
 SYMMETRIC = {
-    "star12": (lambda: Graph.star(12), "K?????????^~"),
-    "K9": (lambda: Graph.complete(9), "H~~~~~~"),
+    "star12": (lambda: star_graph(12), "K?????????^~"),
+    "K9": (lambda: complete_graph(9), "H~~~~~~"),
     "empty12": (lambda: Graph(12, [0] * 12), "K???????????"),
-    "C12": (lambda: Graph.cycle(12), "KqGOOGA?O@?B"),
-    "P10": (lambda: Graph.path(10), "IQGOOGA?W"),
+    "C12": (lambda: cycle_graph(12), "KqGOOGA?O@?B"),
+    "P10": (lambda: path_graph(10), "IQGOOGA?W"),
     "petersen": (_petersen, "IsP@PGXD_"),
     "K33": (lambda: Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
             "Es\\o"),
@@ -154,8 +155,8 @@ class TestCanonical:
 
     def test_hard_symmetric_inputs(self):
         # stars and unions of twins stress the twin-cell shortcut
-        for g in (Graph.star(12), Graph.complete(9), Graph(12, [0] * 12),
-                  Graph.cycle(12)):
+        for g in (star_graph(12), complete_graph(9), Graph(12, [0] * 12),
+                  cycle_graph(12)):
             assert canonical_key(g) == canonical_key(
                 g.relabel(list(reversed(range(g.n))))
             )
@@ -198,7 +199,7 @@ class TestCanonical:
 
     def test_size_cap(self):
         with pytest.raises(SearchError):
-            canonical_key(Graph.path(17))
+            canonical_key(path_graph(17))
 
     def test_generators_generate_the_whole_group(self):
         # every graph with 2..7 vertices, and random ones with 8..10
@@ -258,7 +259,7 @@ class TestEnumeration:
         res = enumerate_saturated(6, 3)
         assert res.min_edges == 5 and res.status == "complete"
         assert len(res.graphs) == 1
-        assert are_isomorphic(res.graphs[0], Graph.star(6))
+        assert are_isomorphic(res.graphs[0], star_graph(6))
 
     def test_four_cycle_values(self):
         for n in (5, 6, 7):
@@ -269,7 +270,17 @@ class TestEnumeration:
     def test_small_n_below_girth_needs_complete(self):
         res = enumerate_saturated(4, 6)
         assert res.min_edges == 6  # only K_4 qualifies
-        assert are_isomorphic(res.graphs[0], Graph.complete(4))
+        assert are_isomorphic(res.graphs[0], complete_graph(4))
+
+    def test_tiny_n_gives_the_complete_graph(self):
+        # below four vertices only K_n is C_6-saturated; K_1's level 0 is
+        # tested for witnesses like any other level
+        for n in (1, 2, 3):
+            res = enumerate_saturated(n, 6)
+            assert res.status == "complete"
+            assert res.graphs == [complete_graph(n)]
+            assert res.min_edges == res.nodes == n * (n - 1) // 2
+            assert res.level_sizes == dict.fromkeys(range(res.min_edges + 1), 1)
 
     def test_nodes_count_passing_orbit_leaders(self, extremal9):
         # one node per orbit leader among the non-edges that pass the
@@ -405,7 +416,7 @@ class TestDegreeSumPrefilter:
         assert kept and cut
         empty = Graph(5, [0] * 5)
         assert _EdgeKeys(empty).degree_sum_passing() == empty.non_edges()
-        assert _EdgeKeys(Graph.complete(5)).degree_sum_passing() == []
+        assert _EdgeKeys(complete_graph(5)).degree_sum_passing() == []
 
     def test_edge_key_matches_recomputation_on_the_child(self, rng):
         # the key of every edge of G+uv, from the child's own degrees and
