@@ -681,7 +681,7 @@ def audit(g: Graph) -> DischargeAudit:
     ts = t_sets(g)
     if ts.t2:
         removed = len(ts.t2)
-        g = reduce_t2(g)
+        g = reduce_t2(g, ts.t2)
         if not is_saturated_fast(g, 6):
             raise DischargeError("T_2 reduction destroyed saturation")
     n, e = g.n, g.edge_count
@@ -692,7 +692,9 @@ def audit(g: Graph) -> DischargeAudit:
     if delta == 2 and not good_roots(g):
         # g passed a saturation scan above and has minimum degree 2, which
         # is what degree_sum_holds assumes
-        ok = degree_sum_holds(g) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
+        # the input's T-sets are g's unless T_2 was removed
+        t1 = None if removed else ts.t1
+        ok = degree_sum_holds(g, t1) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("no-good-root", n, e, ok, reduced_t2=removed)
 
     rc = choose_root(g)

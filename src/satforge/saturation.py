@@ -91,13 +91,14 @@ def t_sets(g: Graph) -> TSets:
     return TSets(frozenset(t1), frozenset(t2))
 
 
-def reduce_t2(g: Graph) -> Graph:
+def reduce_t2(g: Graph, t2=None) -> Graph:
     """Delete every T_2 vertex in one shot, verifying the removed edge mass
-    equals 3|T_2|/2."""
-    ts = t_sets(g)
-    if not ts.t2:
+    equals 3|T_2|/2.  `t2`, if given, is `t_sets(g).t2`, which a caller
+    that has it need not have computed twice."""
+    if t2 is None:
+        t2 = t_sets(g).t2
+    if not t2:
         return g
-    t2 = ts.t2
     internal = sum(1 for u, v in g.edges() if u in t2 and v in t2)
     crossing = sum(1 for u, v in g.edges() if (u in t2) != (v in t2))
     if len(t2) % 2 != 0 or 2 * (internal + crossing) != 3 * len(t2):
@@ -147,11 +148,13 @@ def theta_classes(g: Graph) -> dict:
     return classes
 
 
-def degree_sum_holds(g: Graph) -> bool:
+def degree_sum_holds(g: Graph, t1=None) -> bool:
     """Degree-sum bound over X = V minus degree-2 vertices outside T_1, for a
     C_6-saturated graph of minimum degree 2; the caller establishes both
-    preconditions, and no saturation scan runs here."""
-    ts = t_sets(g)
-    x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in ts.t1)]
+    preconditions, and no saturation scan runs here.  `t1`, if given, is
+    `t_sets(g).t1`."""
+    if t1 is None:
+        t1 = t_sets(g).t1
+    x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in t1)]
     return sum(g.degree(v) for v in x) >= 3 * len(x)
 

@@ -21,12 +21,24 @@ canonical code, so a partial group costs speed, never a class.  Level
 graphs are C_k-free by construction, so the saturation test only looks for
 witnesses.  It runs from m = n-1 upward (a saturated graph is connected), so
 the first level holding a saturated graph gives sat(n, C_k).
+
+A level with at least `MIN_SHARE` parents for each of two or more CPUs is
+split: the process forks one worker per extra CPU it may run on (one under
+`taskset -c 0`), each participant expands every p-th parent, and the workers
+send their children back through pipes.  Merged by parent index, keeping
+the first child met per canonical code, the shares give the same
+representatives in the same order as one sequential pass, so `nodes`, the
+level sizes and the graph6 output do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import heapq
+import os
+import threading
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from . import kernels
@@ -288,7 +300,14 @@ class _Budget:
     """Node and wall-clock limits.  One node is one non-edge of a parent
     tried: one that passes the degree-sum test and is least in its orbit
     among those that pass.  It is put to the rest of the edge-key test, then
-    to the k-cycle test and, if it passes both, augmented and labeled."""
+    to the k-cycle test and, if it passes both, augmented and labeled.
+
+    A split level's participants each get a copy of this budget, so each
+    has the nodes left as its cap and the same deadline.  `settle` then
+    adds up their ticks: a sum past the budget, or one participant out of
+    nodes, means a sequential pass would have stopped inside this level at
+    the budget's last node, so the count is the budget, as it is without a
+    split."""
 
     def __init__(self, nodes, secs):
         self.nodes = nodes
@@ -302,6 +321,17 @@ class _Budget:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExhausted("time budget exhausted")
         self.spent += 1
+
+    def settle(self, spent, ticks, reason):
+        """Count the `ticks` nodes that participants each starting from
+        `spent` ticked in all, and raise BudgetExhausted if one ran out
+        (`reason` its message) or they ticked more than the node budget."""
+        self.spent = spent + ticks
+        if self.nodes is not None and self.spent > self.nodes:
+            self.spent = self.nodes
+            reason = "node budget exhausted"
+        if reason is not None:
+            raise BudgetExhausted(reason)
 
 
 class _EdgeKeys:
@@ -456,9 +486,37 @@ def _next_level(level, k, budget):
        isomorphic to C, passes the C_k test.
 
     Which child is met first in a class depends on the order of the
-    parents and their non-edges, so only the codes of a level are fixed."""
+    parents and their non-edges, so only the codes of a level are fixed.
+
+    The parents are split among the participants (see `_participants`), the
+    i-th taking every p-th parent from the i-th; with one participant it
+    takes them all.  Each share lists its children in the order met, so
+    merging the shares by parent index gives the order of one sequential
+    pass, and keeping the first child per code keeps the representative
+    and the insertion order that pass keeps."""
+    parents = list(level.values())
+    p = _participants(len(parents))
+    if p == 1:
+        shares = [_expand(parents, k, 0, 1, budget)]
+    else:
+        shares = _expand_forked(parents, k, p, budget)
     out = {}
-    for g, generators in level.values():
+    for i, code, u, v, generators in heapq.merge(*shares, key=itemgetter(0)):
+        if code not in out:
+            out[code] = (parents[i][0].with_edge(u, v), generators)
+    return out
+
+
+def _expand(parents, k, start, step, budget):
+    """The children of `parents[start::step]` (see `_next_level`), as
+    (parent index, code, u, v, packed generators) for the first child
+    G+uv met in each class, in the order met: ints and bytes, which a
+    worker sends as they are, and no graph, which a child that loses the
+    merge would hold in memory for nothing.  Ticks `budget` once per tried
+    non-edge."""
+    found, seen = [], set()
+    for i in range(start, len(parents), step):
+        g, generators = parents[i]
         keys = _EdgeKeys(g)
         for u, v in _orbit_leaders(g.n, keys.degree_sum_passing(), generators):
             budget.tick()
@@ -468,9 +526,120 @@ def _next_level(level, k, budget):
                 continue  # the new edge would close a k-cycle
             child = g.with_edge(u, v)
             code, _, child_generators = canonical_form(child)
-            if code not in out:
-                out[code] = (child, b"".join(child_generators))
-    return out
+            if code not in seen:
+                seen.add(code)
+                found.append((i, code, u, v, b"".join(child_generators)))
+    return found
+
+
+# A level is split only if every participant gets at least this many
+# parents.  On a 2-vCPU Xeon VM a worker's fork, pipe and merge cost about
+# 2.7 ms and a parent at n = 9 about 0.2 ms to expand, so a share of 50
+# saves about 10 ms; much smaller shares would save less than the fork costs.
+MIN_SHARE = 50
+
+
+def _cpu_count():
+    """The CPUs this process may run on, 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _participants(size):
+    """How many processes expand a level of `size` parents: one per
+    available CPU, with at least `MIN_SHARE` parents each, and one while
+    the process runs other threads (a forked child holds only the calling
+    thread, and a lock another thread held would stay held in it)."""
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_cpu_count(), size // MIN_SHARE))
+
+
+def _expand_forked(parents, k, p, budget):
+    """The shares of `p` participants: this process takes share 0 and a
+    forked worker each other one, which sends its share back through a
+    pipe as ints and bytes.  Every participant starts from this budget, so
+    each has the remaining nodes as its cap and the same deadline;
+    `_Budget.settle` then counts their ticks together.  Every worker is
+    reaped before this returns or raises."""
+    import pickle
+    import signal
+
+    spent = budget.spent
+    workers = {}  # pid -> read end of its pipe
+    try:
+        for start in range(1, p):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _work(w, parents, k, start, p, budget)  # does not return
+            os.close(w)
+            workers[pid] = open(r, "rb")
+        reason = None
+        try:
+            shares = [_expand(parents, k, 0, p, budget)]
+        except BudgetExhausted as exc:
+            shares, reason = [], str(exc)
+        ticks = budget.spent - spent
+        for pid in list(workers):
+            data = workers[pid].read()
+            workers[pid].close()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if status != 0:
+                raise RuntimeError(f"search worker {pid} died with wait status {status}")
+            kind, worker_ticks, payload = pickle.loads(data)
+            del data
+            if kind == "error":
+                raise RuntimeError(f"search worker {pid} failed:\n{payload}")
+            ticks += worker_ticks
+            if kind == "budget":
+                reason = reason or payload
+            else:
+                shares.append(payload)
+        budget.settle(spent, ticks, reason)
+        return shares
+    finally:
+        # close before the wait, so that no worker waits on a full pipe
+        for pid, reader in workers.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(w, parents, k, start, step, budget):
+    """A forked worker's life: expand its share, write the outcome to the
+    pipe end `w` and exit, never returning into the caller's stack.  The
+    outcome is ("done", ticks, the share `_expand` returns),
+    ("budget", ticks, message) or ("error", 0, traceback); the exit status
+    is 0 only once it is written."""
+    status = 1
+    try:
+        import pickle
+
+        spent = budget.spent
+        try:
+            found = _expand(parents, k, start, step, budget)
+            outcome = ("done", budget.spent - spent, found)
+        except BudgetExhausted as exc:
+            outcome = ("budget", budget.spent - spent, str(exc))
+        except BaseException:
+            import traceback
+
+            outcome = ("error", 0, traceback.format_exc())
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def check_search_args(n, k, budget_nodes, budget_secs):

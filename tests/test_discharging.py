@@ -246,6 +246,24 @@ class TestAudit:
         assert a.reduced_t2 == 2
         assert a.passed, a.failures
 
+    def test_t_sets_once_per_audited_graph(self, monkeypatch):
+        # the T-sets of the input, and of the reduced graph where the
+        # no-good-root branch needs them, each computed once
+        from satforge import saturation
+
+        calls = []
+        t_sets = saturation.t_sets
+        counted = lambda g: calls.append(g.adj) or t_sets(g)  # noqa: E731
+        monkeypatch.setattr(saturation, "t_sets", counted)
+        monkeypatch.setattr(discharging, "t_sets", counted)
+        seen = 0
+        for g in [build_construction(11)[0], *_pinned_graphs()]:
+            calls.clear()
+            a = audit(g)
+            assert len(calls) == len(set(calls)), a.branch
+            seen += bool(a.reduced_t2)
+        assert seen
+
     def test_complete_graph_delta3_branch(self):
         for n in (4, 5):
             a = audit(complete_graph(n))

@@ -155,6 +155,7 @@ class TestStructureSets:
         g11, _ = build_construction(11)
         g9, _ = build_construction(9)
         assert are_isomorphic(reduce_t2(g11), g9)
+        assert reduce_t2(g11, t_sets(g11).t2) == reduce_t2(g11)
 
     def test_reduce_t2_parity_guard(self):
         # one pendant triangle vertex: |T_2| odd, accounting must fail
@@ -191,3 +192,4 @@ class TestDegreeSum:
             g, _ = build_construction(n)
             assert g.min_degree() == 2 and is_saturated_fast(g, 6)
             assert degree_sum_holds(g)
+            assert degree_sum_holds(g, t_sets(g).t1)

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import os
 import random
+import threading
 from collections import Counter
 
 import networkx as nx
@@ -8,6 +11,7 @@ import pytest
 from satforge import kernels, search
 from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6
 from satforge.search import (
+    BudgetExhausted,
     EmptyLevelError,
     SearchError,
     _Budget,
@@ -290,7 +294,9 @@ class TestEnumeration:
 
     def test_labelings_count_children_with_the_largest_key(self, monkeypatch):
         # 7,605 calls when every child whose new edge had the largest degree
-        # sum was labeled
+        # sum was labeled; one participant, so that every call is counted
+        # in this process
+        monkeypatch.setattr(search, "_cpu_count", lambda: 1)
         calls = []
         label = canonical_form
 
@@ -380,6 +386,163 @@ class TestEnumeration:
                 assert res.status == "complete"
                 for m, size in res.level_sizes.items():
                     assert size == free[n, m], (n, k, m)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def participants(monkeypatch):
+    """`use(p)` makes the search see p CPUs and returns the list of the
+    pids it forks until the next `use`."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def use(p):
+        forks.clear()
+        monkeypatch.setattr(search, "_cpu_count", lambda: p)
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    return use
+
+
+def level_at(n, k, m):
+    """Level m of the (n, k) search."""
+    empty = Graph(n, [0] * n)
+    code, _, generators = canonical_form(empty)
+    level = {code: (empty, b"".join(generators))}
+    for _ in range(m):
+        level = _next_level(level, k, _Budget(None, None))
+    return level
+
+
+class WorkerDeadline:
+    """A deadline that has passed in every process but the one that made it."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def __lt__(self, now):  # `now > deadline`
+        return os.getpid() != self.pid
+
+
+class TestParallelLevels:
+    @pytest.mark.parametrize("n, k", [(9, 6), (10, 6), (9, 4), (8, 5)])
+    def test_participants_give_the_same_result(self, n, k, participants):
+        results = []
+        for p in (1, 2, 3):
+            forks = participants(p)
+            results.append(dataclasses.replace(enumerate_saturated(n, k), elapsed=0))
+            assert bool(forks) == (p > 1), p
+            assert_no_children()
+        assert results[0].status == "complete"
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_levels_keep_the_sequential_order(self, participants):
+        # the same representatives and generators, in the same insertion
+        # order, from the level of 650 parents at n = 9
+        participants(1)
+        level = level_at(9, 6, 9)
+        assert len(level) == 650
+        outs = []
+        for p in (1, 2, 3):
+            forks = participants(p)
+            out = _next_level(level, 6, _Budget(None, None))
+            assert len(forks) == p - 1
+            outs.append([(code, g.adj, g.edge_count, gens)
+                         for code, (g, gens) in out.items()])
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert_no_children()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_node_budget_inside_a_forked_level(self, p, participants):
+        participants(1)
+        one = enumerate_saturated(9, 6, budget_nodes=5000)
+        forks = participants(p)
+        res = enumerate_saturated(9, 6, budget_nodes=5000)
+        assert forks
+        assert_no_children()
+        assert res.status == "budget-exhausted" and res.nodes == 5000
+        assert dataclasses.replace(res, elapsed=0) == dataclasses.replace(one, elapsed=0)
+
+    def test_worker_reports_its_deadline(self, participants):
+        participants(1)
+        level = level_at(9, 6, 9)
+        own = _Budget(None, None)
+        search._expand(list(level.values()), 6, 0, 2, own)
+        forks = participants(2)
+        budget = _Budget(None, None)
+        budget.deadline = WorkerDeadline()
+        with pytest.raises(BudgetExhausted, match="time budget"):
+            _next_level(level, 6, budget)
+        assert forks
+        assert_no_children()
+        # this process ticked its whole share, the worker none of its own
+        assert budget.spent == own.spent > 0
+
+    def test_time_budget_ends_a_forked_run(self, participants):
+        forks = participants(2)
+        res = enumerate_saturated(10, 6, budget_secs=0.3)
+        assert forks and res.status == "budget-exhausted" and res.min_edges is None
+        assert_no_children()
+
+    def test_worker_exception_is_raised_here(self, participants, monkeypatch):
+        pid, label = os.getpid(), canonical_form
+
+        def fails_in_worker(g):
+            if os.getpid() != pid:
+                raise ValueError("labeling failed in a worker")
+            return label(g)
+
+        monkeypatch.setattr(search, "canonical_form", fails_in_worker)
+        forks = participants(2)
+        with pytest.raises(RuntimeError, match="labeling failed in a worker"):
+            enumerate_saturated(9, 6)
+        assert forks
+        assert_no_children()
+
+    def test_interrupt_kills_and_reaps_the_workers(self, participants, monkeypatch):
+        pid, label = os.getpid(), canonical_form
+        forks = participants(2)
+
+        def interrupted_here(g):
+            if forks and os.getpid() == pid:
+                raise KeyboardInterrupt
+            return label(g)
+
+        monkeypatch.setattr(search, "canonical_form", interrupted_here)
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_saturated(9, 6)
+        assert forks
+        assert_no_children()
+
+    def test_other_threads_keep_one_participant(self, participants):
+        participants(4)
+        assert search._participants(10**6) == 4
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert search._participants(10**6) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_small_levels_are_not_split(self, participants):
+        participants(4)
+        assert search._participants(2 * search.MIN_SHARE - 1) == 1
+        assert search._participants(2 * search.MIN_SHARE) == 2
+        assert search._participants(10**6) == 4
 
 
 def label_every_leader(level, k):
