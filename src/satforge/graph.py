@@ -70,7 +70,8 @@ class Graph:
     @classmethod
     def _trusted(cls, n, adj, edge_count):
         """A graph from rows already known to be valid (a checked graph with
-        one edge added or removed), without `__init__`'s checks."""
+        one edge added or removed, or a decoded graph6 record), without
+        `__init__`'s checks."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", tuple(adj))
@@ -266,8 +267,17 @@ def to_graph6(g: Graph) -> str:
     return head + body
 
 
+# a graph6 body byte -> its six bits, most significant first
+_SIX_BITS = {63 + i: format(i, "06b") for i in range(64)}
+
+
 def from_graph6(text: str) -> Graph:
-    """Decode one graph6 record (n <= 64)."""
+    """Decode one graph6 record (n <= 64).
+
+    The record is checked, not the rows it gives: the header, the body
+    length, every body byte and the zero padding. The body is read as one
+    integer, and each column's set bits are its edges, so the rows are
+    symmetric and loop-free by construction and skip `Graph`'s checks."""
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
@@ -294,24 +304,27 @@ def from_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"expected {need} body chars, got {len(body)}")
-    bits = []
-    for c in body:
-        o = ord(c)
-        if not 63 <= o <= 126:
-            raise Graph6Error(f"bad body byte {c!r}")
-        o -= 63
-        bits.extend((o >> 5 & 1, o >> 4 & 1, o >> 3 & 1, o >> 2 & 1, o >> 1 & 1, o & 1))
-    if any(bits[nbits:]):
+    if body and not ("?" <= min(body) and max(body) <= "~"):
+        bad = next(c for c in body if not "?" <= c <= "~")
+        raise Graph6Error(f"bad body byte {bad!r}")
+    bits = body.translate(_SIX_BITS)
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
+    # bit i is the i-th pair of the column-major upper triangle, so column v
+    # (the pairs u-v, u < v) is v bits starting at bit v(v-1)/2
+    pairs = int(bits[:nbits][::-1] or "0", 2)
+    edge_count = pairs.bit_count()
     rows = [0] * n
-    i = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            i += 1
-    return Graph(n, rows)
+        col = pairs & ((1 << v) - 1)
+        pairs >>= v
+        rows[v] = col
+        bit = 1 << v
+        while col:
+            low = col & -col
+            col ^= low
+            rows[low.bit_length() - 1] |= bit
+    return Graph._trusted(n, rows, edge_count)
 
 
 def read_graph6_file(path) -> list:

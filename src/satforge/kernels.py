@@ -31,8 +31,13 @@ over the vertices x of U[j]. From an inner vertex w with j edges still to
 go, the rest of a path into T is a walk of j edges into T through allowed
 vertices, so w is in U[j]. The walk enters w only when w is in U[j]: it cuts
 no answer and meets the answers in the same order, for one target or many,
-and for cycles alike. With two edges to go, the targets adjacent to each
-surviving candidate are taken directly, without recursing.
+and for cycles alike. The walk recurses while more than three edges are to
+go, and takes the last three in one call: a loop over the candidates in
+U[2] and, inside it, a loop over each one's candidates in U[1], where the
+targets adjacent to the candidate and off the path are taken at once. A
+walk of two edges runs the inner loop alone. Near the end of a walk a
+vertex has one or two candidates, so a call for each would cost more than
+the work it does.
 
 One target v is never an inner vertex of a path to v, so it is not allowed
 either, and every U[j] is built, up to the U[length-1] that u's neighbors
@@ -83,8 +88,21 @@ def _record(out, prefix, ends):
 def _walk(adj, masks, visited, path, left, remaining, out):
     """Extend `path` (its vertices are `visited`) by `left` >= 2 edges into the
     target mask `remaining`, recording in `out` (when not None) the first path
-    met to each target. Returns the targets still unreached."""
+    met to each target. Returns the targets still unreached.
+
+    Above three edges to go it recurses; the last three (or two, for a walk
+    of two edges) are taken here in loops over candidate masks."""
     cand = adj[path[-1]] & masks[left - 1] & ~visited
+    if left > 3:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            path.append(low.bit_length() - 1)
+            remaining = _walk(adj, masks, visited | low, path, left - 1, remaining, out)
+            path.pop()
+            if not remaining:
+                return 0
+        return remaining
     if left == 2:
         while cand:
             low = cand & -cand
@@ -98,14 +116,24 @@ def _walk(adj, masks, visited, path, left, remaining, out):
                 if not remaining:
                     return 0
         return remaining
+    u1 = masks[1]
     while cand:
         low = cand & -cand
         cand ^= low
-        path.append(low.bit_length() - 1)
-        remaining = _walk(adj, masks, visited | low, path, left - 1, remaining, out)
-        path.pop()
-        if not remaining:
-            return 0
+        w = low.bit_length() - 1
+        seen = visited | low
+        cand2 = adj[w] & u1 & ~seen
+        while cand2:
+            low2 = cand2 & -cand2
+            cand2 ^= low2
+            x = low2.bit_length() - 1
+            hit = adj[x] & remaining & ~seen
+            if hit:
+                if out is not None:
+                    _record(out, (*path, w, x), hit)
+                remaining ^= hit
+                if not remaining:
+                    return 0
     return remaining
 
 
@@ -113,8 +141,10 @@ def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
     """For each vertex v of the mask `targets`, the lexicographically least
     simple u-v path with exactly `length` edges and no inner vertex in
     `banned`, found in one walk from u. Each path is stored as ``out[v]``
-    when `out` (a dict) is given. Returns the mask of targets with no such
-    path; u itself is never reached."""
+    when `out` (a dict, or a list of n slots) is given; in a list, only the
+    slots of found targets are written, so a caller reads the paths at the
+    targets not in the returned mask. Returns the mask of targets with no
+    such path; u itself is never reached."""
     if not targets or not 0 < length < len(adj):
         return targets
     if length == 1:
@@ -138,11 +168,13 @@ def least_cycle(adj, k):
     with the vertices below u banned, and the path the least u-v one."""
     if k < 3:
         return None
+    out = [None] * len(adj)
     for u in range(len(adj) - k + 1):
-        out = {}
-        least_paths(adj, u, k - 1, adj[u] & -(2 << u), (1 << u) - 1, out)
-        if out:
-            return out[min(out)]
+        above = adj[u] & -(2 << u)
+        if above & (above - 1):  # a cycle leaves its least vertex upward twice
+            found = above & ~least_paths(adj, u, k - 1, above, (1 << u) - 1, out)
+            if found:
+                return out[(found & -found).bit_length() - 1]
     return None
 
 

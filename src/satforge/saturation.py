@@ -46,13 +46,17 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
     witnesses = {}
     missing = None
     trusted = CyclePath._trusted
+    paths = [None] * g.n  # reused: a walk writes the slots of what it finds
     for u in range(g.n):
-        paths = {}
-        missed = kernels.least_paths(g.adj, u, k - 1,
-                                     kernels.non_neighbors_above(g.adj, u), 0, paths)
+        targets = kernels.non_neighbors_above(g.adj, u)
+        missed = kernels.least_paths(g.adj, u, k - 1, targets, 0, paths)
         if missed and missing is None:
             missing = (u, (missed & -missed).bit_length() - 1)
-        for v in sorted(paths):
+        found = targets & ~missed
+        while found:
+            low = found & -found
+            found ^= low
+            v = low.bit_length() - 1
             witnesses[(u, v)] = trusted(paths[v], "cycle")
     if missing is not None:
         return SaturationReport(k, None, witnesses, "missing-witness", missing)

@@ -158,6 +158,37 @@ class TestGraph6:
         theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert ours == theirs
 
+    def test_decodes_as_networkx_for_every_n(self):
+        # n = 63 and 64 take the long-form header; decoding skips Graph's
+        # checks, so each result must equal its rows checked
+        rng = random.Random(0x96)
+        for n in range(1, 65):
+            pairs = list(itertools.combinations(range(n), 2))
+            for p in (0.0, rng.random() / 4, rng.random(), 1.0):
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from(e for e in pairs if rng.random() < p)
+                record = nx.to_graph6_bytes(h, header=False).strip()
+                g = from_graph6(record.decode())
+                want = nx.from_graph6_bytes(record)
+                assert g.n == n and sorted(g.edges()) == sorted(
+                    tuple(sorted(e)) for e in want.edges())
+                assert Graph(g.n, g.adj) == g and isinstance(g.adj, tuple)
+                assert g.edge_count == want.number_of_edges() == len(g.edges())
+
+    def test_error_messages(self):
+        # the CLI prints these on its `error:` line
+        for record, message in (
+                ("!Qc", "bad header byte '!'"),
+                ("~?A\x7f", "bad header byte '\\x7f'"),
+                ("DQ\x80", "bad body byte '\\x80'"),
+                ("D Q", "bad body byte ' '"),
+                ("DQcc", "expected 2 body chars, got 3"),
+                ("D~~", "nonzero padding bits")):  # K_5 with padding set
+            with pytest.raises(Graph6Error) as exc:
+                from_graph6(record)
+            assert str(exc.value) == message, record
+
     def test_rejects_bad_padding(self):
         with pytest.raises(Graph6Error):
             from_graph6("D~~")  # K_5 body with nonzero padding tail bits

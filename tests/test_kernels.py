@@ -202,8 +202,10 @@ def test_least_paths_matches_per_pair_search_on_the_family(family):
 
 def test_least_paths_against_brute_force(path_table):
     # independent of the per-pair reference: the minimum over every
-    # enumerated path
+    # enumerated path; a list `out`, reused across queries as
+    # check_saturated reuses it, holds the same paths at the found targets
     for i, (g, banned) in enumerate(GRAPHS):
+        slots = [None] * g.n
         for u in range(g.n):
             targets = kernels.non_neighbors_above(g.adj, u)
             for length in LENGTHS:
@@ -213,6 +215,10 @@ def test_least_paths_against_brute_force(path_table):
                     want = min(avoiding(path_table[i, u, v, length], banned), default=None)
                     assert out.get(v) == (want if targets >> v & 1 else None)
                     assert missed >> v & 1 == (targets >> v & 1 and want is None)
+                assert kernels.least_paths(g.adj, u, length, targets, banned,
+                                           slots) == missed
+                found = targets & ~missed
+                assert {v: slots[v] for v in range(g.n) if found >> v & 1} == out
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import pickle
 
@@ -26,6 +27,35 @@ from tests.conftest import (
     process_graphs,
     star_graph,
 )
+
+
+def _certified_graphs():
+    """The family for n = 9..64 and the 40 process graphs, each also with
+    its middle edge removed (a non-edge without a witness) and with its
+    middle non-edge added (a 6-cycle): all three verdicts."""
+    graphs = [build_construction(n)[0] for n in range(9, 65)] + process_graphs()
+    derived = []
+    for g in graphs:
+        edges, non_edges = g.edges(), g.non_edges()
+        derived.append(g.without_edge(*edges[len(edges) // 2]))
+        derived.append(g.with_edge(*non_edges[len(non_edges) // 2]))
+    return graphs + derived
+
+
+# certificate_digest of the 6-saturation reports of _certified_graphs(); a
+# change to any verdict, cycle found, missing pair, witness or the order of
+# the witnesses moves it
+CERTIFICATE_DIGEST = "c7169614363444f357f04e98b9f4781ea8331d704a33d83f62574189c511e8bc"
+
+
+def certificate_digest(reports):
+    """sha256 over each report's verdict, free violation, missing pair and
+    witnesses in dict order."""
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(repr((rep.verdict, rep.free_violation, rep.missing,
+                       list(rep.witnesses.items()))).encode())
+    return h.hexdigest()
 
 
 class TestCheckSaturated:
@@ -81,6 +111,12 @@ class TestCheckSaturated:
             assert clone(rep) == rep
             assert list(clone(rep).witnesses) == list(rep.witnesses)
             assert type(next(iter(clone(rep).witnesses.values()))) is CyclePath
+
+    def test_pinned_digest(self):
+        reports = [check_saturated(g, 6) for g in _certified_graphs()]
+        verdicts = {rep.verdict for rep in reports}
+        assert verdicts == {"saturated", "not-free", "missing-witness"}
+        assert certificate_digest(reports) == CERTIFICATE_DIGEST
 
     def test_k_below_three_rejected(self):
         with pytest.raises(PreconditionError):
