@@ -2,8 +2,12 @@
 
 Root selection, distance layering, the initial per-vertex charge, five
 first-stage redistribution steps, seven second-stage steps, and the audit
-that checks every conservation identity and runtime assertion. Everything is
-exact `fractions.Fraction` arithmetic; equality tests carry zero tolerance.
+that checks every conservation identity and runtime assertion. Every stored
+charge is an exact `fractions.Fraction`. Sums of charges are taken over one
+common denominator (`exact_sum`), and the checks compare charges with their
+bounds in integer sixths, cross-multiplied by the charge's numerator and
+denominator. Both are exact integer arithmetic, so equality tests carry zero
+tolerance.
 
 Stage snapshot semantics: each step is a function of the complete previous
 ledger; within a step, all sends are computed from the snapshot and applied
@@ -12,6 +16,7 @@ simultaneously.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -52,16 +57,35 @@ class RootChoice:
     rationale: str
 
 
+def exact_sum(values):
+    """The exact sum of rationals (Fractions or ints) as one `Fraction`.
+
+    The numerators are summed as integers over the least common multiple of
+    the denominators, so only the result is normalized. `values` is read
+    twice, so it must be a collection, not an iterator.
+    """
+    den = 1
+    for v in values:
+        den = math.lcm(den, v.denominator)
+    num = 0
+    for v in values:
+        num += v.numerator * (den // v.denominator)
+    return F(num, den)
+
+
 @dataclass
 class ChargeLedger:
     """The charges of one audit, stage by stage, over a distance layering.
 
-    Level queries run on bitmasks: the ledger builds one vertex mask per
-    level once, so the level-i neighbors of x are the bits of
-    ``adj[x] & mask``.  Levels and neighbors are listed in ascending order,
-    on which the order of transfers, failures and diagnostics depends.  Each
-    stage's sum outside V_1 is computed once, since no stage dict changes
-    after it is stored.
+    Level and class queries run on bitmasks. The ledger builds one vertex
+    mask per level once, and `set_classes` one per class tag each time the
+    classes are set, so the level-i neighbors of x in the classes `tags` are
+    the bits of ``adj[x] & level_mask & class_mask``. Set the classes through
+    `set_classes` (as `classify` does): assigning `classes` directly leaves
+    the class masks stale. Levels and neighbors are listed in ascending
+    order, on which the order of transfers, failures and diagnostics depends.
+    Each stage's sum outside V_1 is computed once, since no stage dict
+    changes after it is stored.
     """
 
     graph: Graph
@@ -70,12 +94,30 @@ class ChargeLedger:
     classes: dict = field(default_factory=dict)  # vertex -> "-1"|"-2"|"1"|"2"
     diagnostics: list = field(default_factory=list)
     _level_masks: dict = field(init=False, repr=False, compare=False)
+    _class_masks: dict = field(init=False, repr=False, compare=False)
     _outer_sums: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._level_masks = {i: sum(1 << v for v in level)
                              for i, level in enumerate(self.partition.levels, 1)}
         self._outer_sums = {}  # stage name -> (its dict, the sum)
+        self.set_classes(self.classes)
+
+    def set_classes(self, classes):
+        """Store the class tags and rebuild the class masks: one per tag, and
+        one per tuple of tags the queries have used since."""
+        self.classes = classes
+        masks = {}
+        for v, tag in classes.items():
+            masks[tag] = masks.get(tag, 0) | 1 << v
+        self._class_masks = masks
+
+    def _class_mask(self, tags):
+        masks = self._class_masks
+        mask = masks.get(tags)
+        if mask is None:
+            mask = masks[tags] = sum(masks.get(tag, 0) for tag in set(tags))
+        return mask
 
     # -- level helpers (levels are 1-based) --------------------------------
 
@@ -88,35 +130,40 @@ class ChargeLedger:
         return ()
 
     def nbrs_at(self, x, i):
-        mask = self.graph.adj[x] & self._level_masks.get(i, 0)
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(low.bit_length() - 1)
-        return out
+        return _ascending(self.graph.adj[x] & self._level_masks.get(i, 0))
 
     def n_at(self, x, i):
         return (self.graph.adj[x] & self._level_masks.get(i, 0)).bit_count()
 
     def nbrs_class(self, x, i, tags):
-        return [w for w in self.nbrs_at(x, i) if self.classes.get(w) in tags]
+        return _ascending(self.graph.adj[x] & self._level_masks.get(i, 0)
+                          & self._class_mask(tags))
 
     def n_class(self, x, i, tags):
-        return len(self.nbrs_class(x, i, tags))
+        return (self.graph.adj[x] & self._level_masks.get(i, 0)
+                & self._class_mask(tags)).bit_count()
 
     def outer_sum(self, stage):
         charges = self.stages[stage]
         memo = self._outer_sums.get(stage)
         if memo is None or memo[0] is not charges:
             v1 = self.level_set(1)
-            memo = charges, sum(
-                (c for v, c in charges.items() if v not in v1), F(0))
+            memo = charges, exact_sum([c for v, c in charges.items() if v not in v1])
             self._outer_sums[stage] = memo
         return memo[1]
 
     def flag(self, msg):
         self.diagnostics.append(msg)
+
+
+def _ascending(mask):
+    """The set bits of `mask` as an ascending list of vertices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 MINUS = ("-1", "-2")
@@ -177,17 +224,18 @@ def choose_root(g: Graph) -> RootChoice:
 # ---------------------------------------------------------------------------
 
 def level_charges(g: Graph, root: int):
-    """Layer from an arbitrary root and assign the initial charge."""
+    """Layer from an arbitrary root and assign the initial charge.
+
+    A vertex with `down` neighbors one level nearer the root and `within` in
+    its own level gets down + within/2 - 4/3, built in sixths as one
+    `Fraction`; V_1 has no level below it, so its `down` is 0.
+    """
     part = bfs_levels(g, root, 5)
     ledger = ChargeLedger(g, part)
     charges = {}
     for v in range(g.n):
         i = part.level(v)
-        within = ledger.n_at(v, i)
-        if i == 1:
-            charges[v] = F(within, 2) - BASE
-        else:
-            charges[v] = ledger.n_at(v, i - 1) + F(within, 2) - BASE
+        charges[v] = F(6 * ledger.n_at(v, i - 1) + 3 * ledger.n_at(v, i) - 8, 6)
     ledger.stages["g"] = charges
     return ledger
 
@@ -195,7 +243,7 @@ def level_charges(g: Graph, root: int):
 def _identity_holds(ledger) -> bool:
     """e(G) = sum_x g(x) + 4n/3 for the ledger's initial charge, exactly."""
     g = ledger.graph
-    return sum(ledger.stages["g"].values(), F(0)) + BASE * g.n == g.edge_count
+    return exact_sum(ledger.stages["g"].values()) + BASE * g.n == g.edge_count
 
 
 def charge_identity_holds(g: Graph, root: int) -> bool:
@@ -229,13 +277,14 @@ def classify(ledger: ChargeLedger) -> ChargeLedger:
             base[v] = "2"
         else:
             raise DischargeError(f"charge {c} at {v} outside the value grid")
-    ledger.classes = dict(base)
+    classes = dict(base)
     # split "-" by the number of 2/3+ neighbors one level further out
     for v, tag in base.items():
         if tag == "-":
             i = ledger.level(v)
             n2up = sum(1 for w in ledger.nbrs_at(v, i + 1) if base.get(w) == "2")
-            ledger.classes[v] = "-1" if n2up >= 2 else "-2"
+            classes[v] = "-1" if n2up >= 2 else "-2"
+    ledger.set_classes(classes)
     return ledger
 
 
@@ -370,13 +419,16 @@ def _empty_level(ledger, charges, i, step, split=None, negatives_send=False):
     send only when `negatives_send` is set."""
     transfers, senders = [], []
     for w in ledger.level_set(i):
-        if charges[w] < 0 and not negatives_send:
+        c = charges[w]
+        if c < 0 and not negatives_send:
             continue
         down = ledger.nbrs_at(w, i - 1)  # non-empty: w is at distance i >= 2
         fracs = split(ledger, w, down) if split else None
         if fracs is None:
-            fracs = [(z, F(1, len(down))) for z in down]
-        transfers += [(w, z, charges[w] * frac) for z, frac in fracs]
+            share = F(c.numerator, c.denominator * len(down))
+            transfers += [(w, z, share) for z in down]
+        else:
+            transfers += [(w, z, c * frac) for z, frac in fracs]
         senders.append(w)
     out = _apply(charges, transfers)
     for w in senders:
@@ -464,18 +516,19 @@ def _pendant_split(ledger, z, up):
 def _stage2_step4(ledger, f3):
     """Level-3 vertices absorb their negative level-4 neighbors and tip 1/6
     to same-level neighbors left short; each negative is funded once."""
-    snap_s = {}
-    for v in ledger.level_set(3):
-        snap_s[v] = sum((-f3[z] for z in ledger.nbrs_at(v, 4) if f3[z] < 0), F(0))
+    level3 = ledger.level_set(3)
+    needy = {y: [z for z in ledger.nbrs_at(y, 4) if f3[z] < 0] for y in level3}
+    snap_s = {y: exact_sum([-f3[z] for z in zs]) for y, zs in needy.items()}
     funded = set()
     transfers = []
-    for y in ledger.level_set(3):
-        needy = [z for z in ledger.nbrs_at(y, 4) if f3[z] < 0]
-        live = [z for z in needy if z not in funded]
-        if len(live) != len(needy):
+    for y in level3:
+        live = [z for z in needy[y] if z not in funded]
+        if len(live) == len(needy[y]):
+            s = snap_s[y]
+        else:
             ledger.flag(f"stage-two step 4: {y} found already-funded neighbors")
-        s = sum((-f3[z] for z in live), F(0))
-        gifts = [y1 for y1 in ledger.nbrs_at(y, 3) if f3[y1] - snap_s[y1] < 0]
+            s = exact_sum([-f3[z] for z in live])
+        gifts = [y1 for y1 in ledger.nbrs_at(y, 3) if f3[y1] < snap_s[y1]]
         if f3[y] >= s + SIXTH * len(gifts):
             for z in live:
                 transfers.append((y, z, -f3[z]))
@@ -494,7 +547,7 @@ def _stage2_step5(ledger, f4):
     transfers = []
     for y in ledger.level_set(3):
         live = [z for z in ledger.nbrs_at(y, 4) if f4[z] < 0 and z not in funded]
-        need = sum((-f4[z] for z in live), F(0))
+        need = exact_sum([-f4[z] for z in live])
         if live and f4[y] >= need:
             for z in live:
                 transfers.append((y, z, -f4[z]))
@@ -522,7 +575,7 @@ def _stage2_step7(ledger, f6):
         debts = sorted(v for v in pool if f6[v] < 0 and v not in funded)
         if not debts:
             continue
-        need = sum((-f6[v] for v in debts), F(0))
+        need = exact_sum([-f6[v] for v in debts])
         if f7[x] >= need:
             f7[x] -= need
             for v in debts:
@@ -579,13 +632,15 @@ def _check_monotone(ledger, fail):
             continue
         vals = [charges[v] for charges in stages]
         # nonnegativity is absorbing, and negatives never decrease; a step
-        # that left v untouched kept its charge object and breaks neither
+        # that left v untouched kept its charge object and breaks neither.
+        # A charge's sign is its numerator's, as its denominator is positive.
         for i in range(len(vals) - 1):
-            if vals[i] is vals[i + 1]:
+            a, b = vals[i], vals[i + 1]
+            if a is b:
                 continue
-            if vals[i] >= 0 and vals[i + 1] < 0:
+            if a.numerator >= 0 > b.numerator:
                 fail.append(f"sign monotonicity broken at {v} ({seq[i]}->{seq[i+1]})")
-            if vals[i] < 0 and vals[i + 1] < vals[i]:
+            if a.numerator < 0 and b < a:
                 fail.append(f"negative charge sank at {v} ({seq[i]}->{seq[i+1]})")
 
 
@@ -593,7 +648,7 @@ def _check_observations(ledger, fail):
     gs = ledger.stages["g5"]
     for i in (2, 3, 4):
         for x in ledger.level_set(i):
-            if gs[x] >= 0:
+            if gs[x].numerator >= 0:
                 continue
             if ledger.n_class(x, i + 1, ("2",)) != 0:
                 fail.append(f"negative-vertex rule: {x} has a 2/3+ neighbor above")
@@ -613,12 +668,13 @@ def _check_observations(ledger, fail):
             nplus = ledger.n_class(x, i - 1, PLUS)
             nminus1 = ledger.n_class(x, i - 1, ("-1",))
             nsame2 = ledger.n_class(x, i, ("2",))
-            floor3 = (
-                TWO_THIRDS * ndown + THIRD * nplus + SIXTH * nminus1
-                + THIRD * nsame + SIXTH * nsame2 - BASE
-            )
-            if gs[x] < floor3:
-                fail.append(f"class charge floor violated at {x}: {gs[x]} < {floor3}")
+            # each bound is b/6 for an integer b, and c = p/q < b/6 exactly
+            # when 6p < bq, since q > 0
+            c = gs[x]
+            p, q = c.numerator, c.denominator
+            floor6 = 4 * ndown + 2 * nplus + nminus1 + 2 * nsame + nsame2 - 8
+            if 6 * p < floor6 * q:
+                fail.append(f"class charge floor violated at {x}: {c} < {F(floor6, 6)}")
             strong = (
                 nplus >= 2
                 or (ndown >= 3 and ndown + nsame >= 5)
@@ -626,7 +682,7 @@ def _check_observations(ledger, fail):
                 or (nplus + ndown == 3 and nsame2 >= 1)
                 or (nplus + ndown == 3 and nminus1 + nsame >= 2)
             )
-            if strong and gs[x] < THIRD * ndown + SIXTH * nsame:
+            if strong and 6 * p < (2 * ndown + nsame) * q:
                 fail.append(f"strong conditional bound violated at {x}")
             weak = (
                 nplus >= 2
@@ -636,31 +692,32 @@ def _check_observations(ledger, fail):
                 or (nplus + ndown == 2 and nminus1 + nsame >= 2)
                 or (nplus + ndown == 1 and nminus1 + nsame2 >= 3)
             )
-            if weak and gs[x] < SIXTH * ndown + SIXTH * nsame:
+            if weak and 6 * p < (ndown + nsame) * q:
                 fail.append(f"weak conditional bound violated at {x}")
 
 
 def _check_theorems(ledger, fail):
+    # signs are read from the numerators, as in the other checks
     f5 = ledger.stages["f5"]
     f7 = ledger.stages["f7"]
 
     def n4_neg(y):
-        return sum(1 for z in ledger.nbrs_at(y, 4) if f5[z] < 0)
+        return sum(1 for z in ledger.nbrs_at(y, 4) if f5[z].numerator < 0)
 
     for x in ledger.level_set(2):
         tot = sum(n4_neg(y) for y in ledger.nbrs_at(x, 3))
         if tot > 1:
             fail.append(f"level-4 debt bound violated at {x}: {tot}")
-        neg3 = [y for y in ledger.nbrs_at(x, 3) if f5[y] < 0]
+        neg3 = [y for y in ledger.nbrs_at(x, 3) if f5[y].numerator < 0]
         if len(neg3) > 1:
             fail.append(f"level-3 debt bound violated at {x}: {len(neg3)}")
         elif len(neg3) == 1:
             for y in ledger.nbrs_at(x, 3):
-                if f5[y] >= 0 and n4_neg(y) != 0:
+                if f5[y].numerator >= 0 and n4_neg(y) != 0:
                     fail.append(f"level-3 debt exclusivity violated at {x}/{y}")
     for i in range(2, ledger.partition.depth + 1):
         for v in ledger.level_set(i):
-            if f7[v] < 0:
+            if f7[v].numerator < 0:
                 fail.append(f"final nonnegativity violated at {v}: f7 = {f7[v]}")
 
 
@@ -704,7 +761,7 @@ def audit(g: Graph) -> DischargeAudit:
     stage_two(ledger)
 
     out = DischargeAudit("full", n, e, False, reduced_t2=removed, ledger=ledger)
-    out.v1_sum = sum((ledger.stages["g"][v] for v in ledger.level_set(1)), F(0))
+    out.v1_sum = exact_sum([ledger.stages["g"][v] for v in ledger.level_set(1)])
     _check_monotone(ledger, out.failures)
     _check_observations(ledger, out.failures)
     _check_theorems(ledger, out.failures)

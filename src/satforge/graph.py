@@ -270,6 +270,10 @@ def to_graph6(g: Graph) -> str:
 # a graph6 body byte -> its six bits, most significant first
 _SIX_BITS = {63 + i: format(i, "06b") for i in range(64)}
 
+# what a record may carry around it; str.strip() would also remove the
+# control bytes \x0b, \x0c and \x1c-\x1f, which are bad bytes in a record
+_BLANKS = " \t\r\n"
+
 
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 record (n <= 64).
@@ -278,7 +282,7 @@ def from_graph6(text: str) -> Graph:
     length, every body byte and the zero padding. The body is read as one
     integer, and each column's set bits are its edges, so the rows are
     symmetric and loop-free by construction and skip `Graph`'s checks."""
-    s = text.strip()
+    s = text.strip(_BLANKS)
     if s.startswith(">>graph6<<"):
         s = s[10:]
     if not s:
@@ -336,7 +340,7 @@ def read_graph6_file(path) -> list:
         for i, line in enumerate(fh, 1):
             if not line.isascii():
                 raise Graph6Error(f"{path}: line {i} is not ASCII")
-            line = line.strip()
+            line = line.strip(_BLANKS)
             if line:
                 try:
                     graphs.append(from_graph6(line))

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import random
 import sys
 from fractions import Fraction as F
 
@@ -12,11 +13,13 @@ from satforge.discharging import (
     MINUS,
     PLUS,
     _check_monotone,
+    _check_observations,
     _four_cycles_through,
     audit,
     charge_identity_holds,
     choose_root,
     classify,
+    exact_sum,
     initial_charge,
     level_charges,
     render_stage_table,
@@ -149,25 +152,47 @@ class TestInitialCharge:
         assert set(ledger.classes.values()) <= {"-1", "-2", "1", "2"}
 
 
+def _assert_queries_match(led):
+    """The ledger's level and class queries against their definitions by the
+    neighbor list and the `classes` dict."""
+    tag_sets = [(t,) for t in ("-1", "-2", "1", "2")] + [MINUS, PLUS, MINUS + PLUS]
+    for x in range(led.graph.n):
+        for i in range(led.partition.depth + 2):
+            want = [w for w in led.graph.neighbors(x) if led.level(w) == i]
+            assert led.nbrs_at(x, i) == want
+            assert led.n_at(x, i) == len(want)
+            for tags in tag_sets:
+                cls = [w for w in want if led.classes.get(w) in tags]
+                assert led.nbrs_class(x, i, tags) == cls
+                assert led.n_class(x, i, tags) == len(cls)
+
+
 class TestLevelQueries:
     def test_match_the_neighbor_list_definitions(self):
-        tag_sets = [(t,) for t in ("-1", "-2", "1", "2")] + [MINUS, PLUS, MINUS + PLUS]
         checked = 0
         for g in _pinned_graphs():
             led = audit(g).ledger
             if led is None:
                 continue
-            for x in range(led.graph.n):
-                for i in range(led.partition.depth + 2):
-                    want = [w for w in led.graph.neighbors(x) if led.level(w) == i]
-                    assert led.nbrs_at(x, i) == want
-                    assert led.n_at(x, i) == len(want)
-                    for tags in tag_sets:
-                        cls = [w for w in want if led.classes.get(w) in tags]
-                        assert led.nbrs_class(x, i, tags) == cls
-                        assert led.n_class(x, i, tags) == len(cls)
+            _assert_queries_match(led)
             checked += 1
         assert checked == 64
+
+    def test_classify_again_rebuilds_the_class_masks(self):
+        # swap the 1/6 and 2/3 charges below V_1, so that classes "1" and "2"
+        # trade places, after the queries have been answered (and cached)
+        swap = {F(1, 6): F(2, 3), F(2, 3): F(1, 6)}
+        changed = 0
+        for g in _pinned_graphs()[:12]:
+            led = audit(g).ledger
+            _assert_queries_match(led)
+            before = dict(led.classes)
+            led.stages["g"] = {v: swap.get(c, c) if led.level(v) >= 2 else c
+                               for v, c in led.stages["g"].items()}
+            classify(led)
+            changed += led.classes != before
+            _assert_queries_match(led)
+        assert changed == 12
 
 
 class TestFrozenFixture:
@@ -350,6 +375,77 @@ def _set_charges(ledger, stage, vertices, value):
 def _deep_class_two(ledger):
     return [v for i in (3, 4, 5) for v in ledger.level_set(i)
             if ledger.classes.get(v) == "2"]
+
+
+class TestExactSum:
+    def test_equals_the_fraction_sum(self):
+        rng = random.Random(20)
+        # 5, 9, 45 and 180 are among the denominators of stage two's charges
+        dens = (1, 2, 3, 4, 5, 6, 9, 12, 18, 36, 45, 180, 7, 11)
+        for size in range(25):
+            for _ in range(40):
+                vals = [F(rng.randint(-500, 500), rng.choice(dens)) for _ in range(size)]
+                got = exact_sum(vals)
+                assert type(got) is F
+                assert got == sum(vals, F(0)), vals
+
+    def test_empty_and_dict_values(self):
+        assert type(exact_sum([])) is F and exact_sum([]) == 0
+        charges = {0: F(-1, 3), 1: F(7, 9), 2: F(1, 45), 3: F(-1, 180)}
+        assert exact_sum(charges.values()) == F(-1, 3) + F(7, 9) + F(1, 45) - F(1, 180)
+        assert exact_sum([2, F(-1, 3), -1]) == F(2, 3)
+
+
+class TestIntegerBounds:
+    """`_check_observations` compares a class-"2" vertex's g5 charge with its
+    bounds in integer sixths; these pin it to the Fraction formulas at and
+    around each bound, with charges whose denominators are not sixths."""
+
+    BOUNDS = ("class charge floor", "strong conditional bound", "weak conditional bound")
+
+    def bound_failures(self, ledger, x, c):
+        ledger.stages["g5"] = {**ledger.stages["g5"], x: c}
+        fail = []
+        _check_observations(ledger, fail)
+        return [m for m in fail if m.startswith(self.BOUNDS)
+                and (m.endswith(f" at {x}") or f" at {x}: " in m)]
+
+    def test_verdicts_and_texts_match_the_fraction_formulas(self):
+        applied = {"strong": 0, "weak": 0}
+        for g in _pinned_graphs()[:40]:
+            led = audit(g).ledger
+            if led is None:
+                continue
+            for x in _deep_class_two(led):
+                i = led.level(x)
+                down = [w for w in led.graph.neighbors(x) if led.level(w) == i - 1]
+                same = [w for w in led.graph.neighbors(x) if led.level(w) == i]
+                nplus = sum(led.classes.get(w) in PLUS for w in down)
+                nminus1 = sum(led.classes.get(w) == "-1" for w in down)
+                nsame2 = sum(led.classes.get(w) == "2" for w in same)
+                floor = (F(2, 3) * len(down) + F(1, 3) * nplus + F(1, 6) * nminus1
+                         + F(1, 3) * len(same) + F(1, 6) * nsame2 - F(4, 3))
+                strong = F(1, 3) * len(down) + F(1, 6) * len(same)
+                weak = F(1, 6) * len(down) + F(1, 6) * len(same)
+                # whether the strong and weak conditions hold at x shows in
+                # the failures for a charge below every bound
+                low = self.bound_failures(led, x, F(-100))
+                holds = {kind: f"{kind} conditional bound violated at {x}" in low
+                         for kind in applied}
+                for kind in applied:
+                    applied[kind] += holds[kind]
+                for b in (floor, strong, weak):
+                    for c in (b, b - F(1, 180), b - F(1, 45), b + F(1, 180),
+                              F(7, 9), F(-1, 4)):
+                        want = []
+                        if c < floor:
+                            want.append(f"class charge floor violated at {x}: {c} < {floor}")
+                        if holds["strong"] and c < strong:
+                            want.append(f"strong conditional bound violated at {x}")
+                        if holds["weak"] and c < weak:
+                            want.append(f"weak conditional bound violated at {x}")
+                        assert self.bound_failures(led, x, c) == want, (x, c)
+        assert applied["strong"] > 0 and applied["weak"] > 0, applied
 
 
 # one tampering of the finished ledger per audit check, each breaking it

@@ -15,6 +15,7 @@ from satforge.graph import (
     bfs_levels,
     contains_cycle,
     from_graph6,
+    read_graph6_file,
     to_graph6,
 )
 from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
@@ -184,10 +185,24 @@ class TestGraph6:
                 ("DQ\x80", "bad body byte '\\x80'"),
                 ("D Q", "bad body byte ' '"),
                 ("DQcc", "expected 2 body chars, got 3"),
-                ("D~~", "nonzero padding bits")):  # K_5 with padding set
+                ("D~~", "nonzero padding bits"),  # K_5 with padding set
+                # control bytes that str.strip() would take for whitespace
+                ("\x1fQc", "bad header byte '\\x1f'"),
+                ("DQ\x1f", "bad body byte '\\x1f'"),
+                ("\x0cDQ", "bad header byte '\\x0c'"),
+                ("DQc\x1f", "expected 2 body chars, got 3"),
+                ("DQc\x0b", "expected 2 body chars, got 3")):
             with pytest.raises(Graph6Error) as exc:
                 from_graph6(record)
             assert str(exc.value) == message, record
+
+    def test_trims_only_blanks(self, tmp_path):
+        assert from_graph6(" \tDQc\r\n").edges() == from_graph6("DQc").edges()
+        path = tmp_path / "ctl.g6"
+        path.write_text(" DQc\t\r\nDQ\x1f\n")
+        with pytest.raises(Graph6Error) as exc:
+            read_graph6_file(path)
+        assert str(exc.value) == f"{path}: line 2: bad body byte '\\x1f'"
 
     def test_rejects_bad_padding(self):
         with pytest.raises(Graph6Error):
