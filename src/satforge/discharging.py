@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .construction import lower_bound_edges
-from .graph import Graph, GraphError, LevelPartition, bfs_levels
+from .graph import Graph, GraphError, LevelPartition, bfs_levels, vertex_list
 from .saturation import (
     PreconditionError,
     degree_sum_holds,
@@ -130,14 +130,14 @@ class ChargeLedger:
         return ()
 
     def nbrs_at(self, x, i):
-        return _ascending(self.graph.adj[x] & self._level_masks.get(i, 0))
+        return vertex_list(self.graph.adj[x] & self._level_masks.get(i, 0))
 
     def n_at(self, x, i):
         return (self.graph.adj[x] & self._level_masks.get(i, 0)).bit_count()
 
     def nbrs_class(self, x, i, tags):
-        return _ascending(self.graph.adj[x] & self._level_masks.get(i, 0)
-                          & self._class_mask(tags))
+        return vertex_list(self.graph.adj[x] & self._level_masks.get(i, 0)
+                           & self._class_mask(tags))
 
     def n_class(self, x, i, tags):
         return (self.graph.adj[x] & self._level_masks.get(i, 0)
@@ -154,16 +154,6 @@ class ChargeLedger:
 
     def flag(self, msg):
         self.diagnostics.append(msg)
-
-
-def _ascending(mask):
-    """The set bits of `mask` as an ascending list of vertices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
 
 
 MINUS = ("-1", "-2")
@@ -514,8 +504,9 @@ def _pendant_split(ledger, z, up):
 
 
 def _stage2_step4(ledger, f3):
-    """Level-3 vertices absorb their negative level-4 neighbors and tip 1/6
-    to same-level neighbors left short; each negative is funded once."""
+    """Level-3 vertices absorb their negative level-4 neighbors, each funded
+    once, and when they can afford every tip as well, tip 1/6 to same-level
+    neighbors left short."""
     level3 = ledger.level_set(3)
     needy = {y: [z for z in ledger.nbrs_at(y, 4) if f3[z] < 0] for y in level3}
     snap_s = {y: exact_sum([-f3[z] for z in zs]) for y, zs in needy.items()}
@@ -528,17 +519,13 @@ def _stage2_step4(ledger, f3):
         else:
             ledger.flag(f"stage-two step 4: {y} found already-funded neighbors")
             s = exact_sum([-f3[z] for z in live])
+        if f3[y] < s:
+            continue
+        transfers += [(y, z, -f3[z]) for z in live]
+        funded.update(live)
         gifts = [y1 for y1 in ledger.nbrs_at(y, 3) if f3[y1] < snap_s[y1]]
         if f3[y] >= s + SIXTH * len(gifts):
-            for z in live:
-                transfers.append((y, z, -f3[z]))
-                funded.add(z)
-            for y1 in gifts:
-                transfers.append((y, y1, SIXTH))
-        elif f3[y] >= s:
-            for z in live:
-                transfers.append((y, z, -f3[z]))
-                funded.add(z)
+            transfers += [(y, y1, SIXTH) for y1 in gifts]
     return _apply(f3, transfers)
 
 
@@ -549,9 +536,8 @@ def _stage2_step5(ledger, f4):
         live = [z for z in ledger.nbrs_at(y, 4) if f4[z] < 0 and z not in funded]
         need = exact_sum([-f4[z] for z in live])
         if live and f4[y] >= need:
-            for z in live:
-                transfers.append((y, z, -f4[z]))
-                funded.add(z)
+            transfers += [(y, z, -f4[z]) for z in live]
+            funded.update(live)
     return _apply(f4, transfers)
 
 
@@ -563,10 +549,12 @@ def _stage2_step6(ledger, f5):
 
 def _stage2_step7(ledger, f6):
     """Level 3 empties into level 2; each level-2 vertex then absorbs the
-    negative vertices it can see in levels 3 and 4, when it can afford to."""
-    f7 = _empty_level(ledger, f6, 3, 7)
-    # debt settlement
+    negative vertices it can see in levels 3 and 4, when it can afford to.
+    A debtor is a negative vertex, which the emptying leaves as it was, so
+    paying its debt brings it to 0."""
+    emptied = _empty_level(ledger, f6, 3, 7)
     funded = set()
+    transfers = []
     for x in ledger.level_set(2):
         up = ledger.nbrs_at(x, 3)
         pool = set(up)
@@ -576,14 +564,12 @@ def _stage2_step7(ledger, f6):
         if not debts:
             continue
         need = exact_sum([-f6[v] for v in debts])
-        if f7[x] >= need:
-            f7[x] -= need
-            for v in debts:
-                f7[v] = F(0)
-                funded.add(v)
+        if emptied[x] >= need:
+            transfers += [(x, v, -f6[v]) for v in debts]
+            funded.update(debts)
         else:
             ledger.flag(f"stage-two step 7: vertex {x} cannot cover {need}")
-    return f7
+    return _apply(emptied, transfers)
 
 
 def stage_two(ledger: ChargeLedger) -> ChargeLedger:

@@ -33,11 +33,14 @@ def _check_pair(n, u, v):
         raise GraphError(f"vertex pair ({u}, {v}) outside 0..{n - 1}")
 
 
-def _bits(mask):
+def vertex_list(mask):
+    """The set bits of `mask` as an ascending list of vertices."""
+    out = []
     while mask:
         low = mask & -mask
         mask ^= low
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
+    return out
 
 
 class Graph:
@@ -60,7 +63,7 @@ class Graph:
                 raise GraphError(f"self-loop at {v}")
             deg_sum += row.bit_count()
         for v, row in enumerate(adj):
-            for w in _bits(row):
+            for w in vertex_list(row):
                 if not adj[w] >> v & 1:
                     raise GraphError(f"asymmetric edge {v}-{w}")
         object.__setattr__(self, "n", n)
@@ -108,14 +111,14 @@ class Graph:
     def neighbors(self, v):
         if not 0 <= v < self.n:
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
-        return list(_bits(self.adj[v]))
+        return vertex_list(self.adj[v])
 
     def has_edge(self, u, v):
         _check_pair(self.n, u, v)
         return bool(self.adj[u] >> v & 1)
 
     def edges(self):
-        return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+        return [(u, v) for u in range(self.n) for v in vertex_list(self.adj[u]) if u < v]
 
     def non_edges(self):
         out = []
@@ -378,7 +381,7 @@ def bfs_levels(g: Graph, root, max_level) -> LevelPartition:
     frontier = seen = adj[root] | 1 << root  # root and its neighbors share V_1
     levels, level_of = [], [0] * g.n
     while frontier:
-        levels.append(tuple(_bits(frontier)))
+        levels.append(tuple(vertex_list(frontier)))
         nxt = 0
         for v in levels[-1]:
             nxt |= adj[v]

@@ -103,11 +103,10 @@ def reduce_t2(g: Graph, t2=None) -> Graph:
         t2 = t_sets(g).t2
     if not t2:
         return g
-    internal = sum(1 for u, v in g.edges() if u in t2 and v in t2)
-    crossing = sum(1 for u, v in g.edges() if (u in t2) != (v in t2))
-    if len(t2) % 2 != 0 or 2 * (internal + crossing) != 3 * len(t2):
+    removed = sum(1 for u, v in g.edges() if u in t2 or v in t2)
+    if len(t2) % 2 != 0 or 2 * removed != 3 * len(t2):
         raise BookkeepingError(
-            f"removed edge mass {internal + crossing} != 3|T_2|/2 with |T_2|={len(t2)}"
+            f"removed edge mass {removed} != 3|T_2|/2 with |T_2|={len(t2)}"
         )
     return g.delete_vertices(t2)
 

@@ -22,13 +22,14 @@ graphs are C_k-free by construction, so the saturation test only looks for
 witnesses.  It runs from m = n-1 upward (a saturated graph is connected), so
 the first level holding a saturated graph gives sat(n, C_k).
 
-A level with at least `MIN_SHARE` parents for each of two or more CPUs is
-split: the process forks one worker per extra CPU it may run on (one under
-`taskset -c 0`), each participant expands every p-th parent, and the workers
-send their children back through pipes.  Merged by parent index, keeping
-the first child met per canonical code, the shares give the same
-representatives in the same order as one sequential pass, so `nodes`, the
-level sizes and the graph6 output do not depend on the CPU count.
+Every level is expanded in shares by p participants: the process and one
+forked worker per extra CPU it may run on, with at least `MIN_SHARE`
+parents each (p = 1, no fork, for a small level or under `taskset -c 0`).
+Each expands every p-th parent, and the workers send their children back
+through pipes.  Merged by parent index, keeping the first child met per
+canonical code, the shares give the same representatives in the same order
+as one sequential pass, so `nodes`, the level sizes and the graph6 output
+do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -302,12 +303,12 @@ class _Budget:
     among those that pass.  It is put to the rest of the edge-key test, then
     to the k-cycle test and, if it passes both, augmented and labeled.
 
-    A split level's participants each get a copy of this budget, so each
-    has the nodes left as its cap and the same deadline.  `settle` then
-    adds up their ticks: a sum past the budget, or one participant out of
-    nodes, means a sequential pass would have stopped inside this level at
-    the budget's last node, so the count is the budget, as it is without a
-    split."""
+    A level's participants each get a copy of this budget, so each has the
+    nodes left as its cap and the same deadline.  `settle` then adds up
+    their ticks: a sum past the budget, or one participant out of nodes,
+    means a sequential pass would have stopped inside this level at the
+    budget's last node, so the count is the budget, as it is with one
+    participant."""
 
     def __init__(self, nodes, secs):
         self.nodes = nodes
@@ -322,11 +323,13 @@ class _Budget:
             raise BudgetExhausted("time budget exhausted")
         self.spent += 1
 
-    def settle(self, spent, ticks, reason):
-        """Count the `ticks` nodes that participants each starting from
-        `spent` ticked in all, and raise BudgetExhausted if one ran out
-        (`reason` its message) or they ticked more than the node budget."""
-        self.spent = spent + ticks
+    def settle(self, spent, outcomes):
+        """Count the nodes that participants each starting from `spent`
+        ticked in all, from their `_expand` outcomes in participant order,
+        and raise BudgetExhausted if one ran out (with the first message) or
+        they ticked more than the node budget."""
+        self.spent = spent + sum(ticks for ticks, _, _ in outcomes)
+        reason = next((msg for _, _, msg in outcomes if msg is not None), None)
         if self.nodes is not None and self.spent > self.nodes:
             self.spent = self.nodes
             reason = "node budget exhausted"
@@ -489,17 +492,13 @@ def _next_level(level, k, budget):
     parents and their non-edges, so only the codes of a level are fixed.
 
     The parents are split among the participants (see `_participants`), the
-    i-th taking every p-th parent from the i-th; with one participant it
-    takes them all.  Each share lists its children in the order met, so
-    merging the shares by parent index gives the order of one sequential
-    pass, and keeping the first child per code keeps the representative
-    and the insertion order that pass keeps."""
+    i-th taking every p-th parent from the i-th; one participant takes them
+    all.  Each share lists its children in the order met, so merging the
+    shares by parent index gives the order of one sequential pass, and
+    keeping the first child per code keeps the representative and the
+    insertion order that pass keeps."""
     parents = list(level.values())
-    p = _participants(len(parents))
-    if p == 1:
-        shares = [_expand(parents, k, 0, 1, budget)]
-    else:
-        shares = _expand_forked(parents, k, p, budget)
+    shares = _shares(parents, k, _participants(len(parents)), budget)
     out = {}
     for i, code, u, v, generators in heapq.merge(*shares, key=itemgetter(0)):
         if code not in out:
@@ -508,28 +507,33 @@ def _next_level(level, k, budget):
 
 
 def _expand(parents, k, start, step, budget):
-    """The children of `parents[start::step]` (see `_next_level`), as
-    (parent index, code, u, v, packed generators) for the first child
-    G+uv met in each class, in the order met: ints and bytes, which a
-    worker sends as they are, and no graph, which a child that loses the
-    merge would hold in memory for nothing.  Ticks `budget` once per tried
-    non-edge."""
+    """One participant's share of a level, as (ticks, share, None), or as
+    (ticks, None, message) if `budget` ran out; `ticks` counts the non-edges
+    tried.  The share lists the children of `parents[start::step]` (see
+    `_next_level`) as (parent index, code, u, v, packed generators) for the
+    first child G+uv met in each class, in the order met: ints and bytes,
+    which a worker sends as they are, and no graph, which a child that loses
+    the merge would hold in memory for nothing."""
+    spent = budget.spent
     found, seen = [], set()
-    for i in range(start, len(parents), step):
-        g, generators = parents[i]
-        keys = _EdgeKeys(g)
-        for u, v in _orbit_leaders(g.n, keys.degree_sum_passing(), generators):
-            budget.tick()
-            if not keys.largest(u, v):
-                continue  # another edge of the child has a larger key
-            if k <= g.n and kernels.has_path(g.adj, u, v, k - 1):
-                continue  # the new edge would close a k-cycle
-            child = g.with_edge(u, v)
-            code, _, child_generators = canonical_form(child)
-            if code not in seen:
-                seen.add(code)
-                found.append((i, code, u, v, b"".join(child_generators)))
-    return found
+    try:
+        for i in range(start, len(parents), step):
+            g, generators = parents[i]
+            keys = _EdgeKeys(g)
+            for u, v in _orbit_leaders(g.n, keys.degree_sum_passing(), generators):
+                budget.tick()
+                if not keys.largest(u, v):
+                    continue  # another edge of the child has a larger key
+                if k <= g.n and kernels.has_path(g.adj, u, v, k - 1):
+                    continue  # the new edge would close a k-cycle
+                child = g.with_edge(u, v)
+                code, _, child_generators = canonical_form(child)
+                if code not in seen:
+                    seen.add(code)
+                    found.append((i, code, u, v, b"".join(child_generators)))
+    except BudgetExhausted as exc:
+        return budget.spent - spent, None, str(exc)
+    return budget.spent - spent, found, None
 
 
 # A level is split only if every participant gets at least this many
@@ -558,13 +562,13 @@ def _participants(size):
     return max(1, min(_cpu_count(), size // MIN_SHARE))
 
 
-def _expand_forked(parents, k, p, budget):
+def _shares(parents, k, p, budget):
     """The shares of `p` participants: this process takes share 0 and a
-    forked worker each other one, which sends its share back through a
-    pipe as ints and bytes.  Every participant starts from this budget, so
-    each has the remaining nodes as its cap and the same deadline;
-    `_Budget.settle` then counts their ticks together.  Every worker is
-    reaped before this returns or raises."""
+    forked worker each other one (none when p is 1), which sends its
+    `_expand` outcome back through a pipe.  Every participant starts from
+    this budget, so each has the remaining nodes as its cap and the same
+    deadline; `_Budget.settle` then counts their ticks together.  Every
+    worker is reaped before this returns or raises."""
     import pickle
     import signal
 
@@ -583,12 +587,7 @@ def _expand_forked(parents, k, p, budget):
                 _work(w, parents, k, start, p, budget)  # does not return
             os.close(w)
             workers[pid] = open(r, "rb")
-        reason = None
-        try:
-            shares = [_expand(parents, k, 0, p, budget)]
-        except BudgetExhausted as exc:
-            shares, reason = [], str(exc)
-        ticks = budget.spent - spent
+        outcomes = [_expand(parents, k, 0, p, budget)]
         for pid in list(workers):
             data = workers[pid].read()
             workers[pid].close()
@@ -596,17 +595,13 @@ def _expand_forked(parents, k, p, budget):
             del workers[pid]
             if status != 0:
                 raise RuntimeError(f"search worker {pid} died with wait status {status}")
-            kind, worker_ticks, payload = pickle.loads(data)
+            outcome = pickle.loads(data)
             del data
-            if kind == "error":
-                raise RuntimeError(f"search worker {pid} failed:\n{payload}")
-            ticks += worker_ticks
-            if kind == "budget":
-                reason = reason or payload
-            else:
-                shares.append(payload)
-        budget.settle(spent, ticks, reason)
-        return shares
+            if isinstance(outcome, str):
+                raise RuntimeError(f"search worker {pid} failed:\n{outcome}")
+            outcomes.append(outcome)
+        budget.settle(spent, outcomes)
+        return [share for _, share, _ in outcomes]
     finally:
         # close before the wait, so that no worker waits on a full pipe
         for pid, reader in workers.items():
@@ -618,23 +613,18 @@ def _expand_forked(parents, k, p, budget):
 def _work(w, parents, k, start, step, budget):
     """A forked worker's life: expand its share, write the outcome to the
     pipe end `w` and exit, never returning into the caller's stack.  The
-    outcome is ("done", ticks, the share `_expand` returns),
-    ("budget", ticks, message) or ("error", 0, traceback); the exit status
-    is 0 only once it is written."""
+    outcome is the tuple `_expand` returns, or the traceback text of any
+    other exception; the exit status is 0 only once it is written."""
     status = 1
     try:
         import pickle
 
-        spent = budget.spent
         try:
-            found = _expand(parents, k, start, step, budget)
-            outcome = ("done", budget.spent - spent, found)
-        except BudgetExhausted as exc:
-            outcome = ("budget", budget.spent - spent, str(exc))
+            outcome = _expand(parents, k, start, step, budget)
         except BaseException:
             import traceback
 
-            outcome = ("error", 0, traceback.format_exc())
+            outcome = traceback.format_exc()
         with open(w, "wb") as pipe:
             pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
         status = 0

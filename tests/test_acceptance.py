@@ -43,18 +43,30 @@ def test_criterion_2_construction_saturation(family):
     _report(2, not bad, f"n=9..30 full certificates{' bad=' + str(bad) if bad else ''}")
 
 
+# search output, not theorems: the number of extremal C_4 classes, and
+# sat(n, C_5) with its class count (Chen's theorem on sat(n, C_5) starts at
+# n = 21)
+C4_CLASSES = {5: 2, 6: 1, 7: 3, 8: 1, 9: 6, 10: 2, 11: 8}
+C5_SEARCH = {5: (6, 1), 6: (8, 2), 7: (9, 5), 8: (10, 2), 9: (12, 12), 10: (13, 4)}
+
+
 def test_criterion_3_known_exact_values():
-    ok = True
-    for n in range(3, 10):
+    bad = []
+    # sat(n, C_3) = n - 1, attained by the star
+    for n in range(3, 11):
         res = enumerate_saturated(n, 3)
-        ok &= res.status == "complete" and res.min_edges == n - 1
-        ok &= any(are_isomorphic(g, star_graph(n)) for g in res.graphs)
-    for n in range(5, 9):
-        res = enumerate_saturated(n, 4)
-        ok &= res.status == "complete" and res.min_edges == (3 * n - 5) // 2
-    # 5-cycle values are recorded as derived output, not checked
-    derived = {n: enumerate_saturated(n, 5).min_edges for n in range(5, 10)}
-    _report(3, ok, f"(C_5 derived: {derived})")
+        if not (res.status == "complete" and res.min_edges == n - 1
+                and any(are_isomorphic(g, star_graph(n)) for g in res.graphs)):
+            bad.append((3, n))
+    # sat(n, C_4) = floor((3n - 5)/2) (Ollmann 1972; Tuza 1989)
+    c4 = {n: ((3 * n - 5) // 2, classes) for n, classes in C4_CLASSES.items()}
+    for k, want in ((4, c4), (5, C5_SEARCH)):
+        for n, (sat, classes) in want.items():
+            res = enumerate_saturated(n, k)
+            if (res.status, res.min_edges, len(res.graphs)) != ("complete", sat, classes):
+                bad.append((k, n))
+    _report(3, not bad, "C_3 n=3..10, C_4 n=5..11, C_5 n=5..10"
+            + (f" bad={bad}" if bad else ""))
 
 
 def test_criterion_4_c6_bracket_at_9(extremal9):

@@ -556,3 +556,89 @@ class TestRareRules:
     def test_split_exception_pattern_is_tried(self, record, line):
         assert line in lines_run(discharging._split_exception,
                                  lambda: audit(from_graph6(record)))
+
+
+class TestStageTwoDebtRules:
+    """Stage-two steps 4 and 7 on pinned ledgers with charges set by hand.
+
+    The family member for n = 10 has the levels V_2 = (1, 3),
+    V_3 = (0, 2, 4, 8) and V_4 = (6, 7). Vertex 0 has the V_3 neighbour 2 and
+    the V_4 neighbour 6; vertex 1 alone sees 8 and 7 (8's V_4 neighbour), and
+    1 and 3 both see 0. Its real f3 is 2/3 at 0 and 1/3 at 2 and 4; its real
+    f6 empties 0, 2 and 4 into V_2 to give 1/2 at 1 and 5/6 at 3."""
+
+    def run(self, step, g, stage, charges):
+        """The charges `step` changes in `stage`, set by hand from `charges`,
+        as exact strings, and the diagnostics it adds; every output charge
+        must be a Fraction and the input dict must stay as it was."""
+        led = audit(g).ledger
+        flagged = len(led.diagnostics)
+        before = {**led.stages[stage], **charges}
+        kept = dict(before)
+        out = step(led, before)
+        assert before == kept
+        assert out.keys() == before.keys()
+        assert all(type(c) is F for c in out.values())
+        changed = {v: str(c) for v, c in out.items() if str(c) != str(before[v])}
+        return changed, led.diagnostics[flagged:]
+
+    def step4(self, g, charges):
+        return self.run(discharging._stage2_step4, g, "f3", charges)
+
+    def step7(self, g, charges):
+        return self.run(discharging._stage2_step7, g, "f6", charges)
+
+    @pytest.mark.parametrize("charge, changed", [
+        # 0 pays its debtor 6 its 1/3 and tips 1/6 to its short neighbour 2
+        (F(2, 3), {0: "1/6", 2: "0", 6: "0"}),
+        (F(1, 2), {0: "0", 2: "0", 6: "0"}),
+        # enough for the debt, not for the gift as well
+        (F(89, 180), {0: "29/180", 6: "0"}),
+        (F(1, 3), {0: "0", 6: "0"}),
+        # not enough for the debt: nothing moves
+        (F(59, 180), {}),
+    ])
+    def test_step4_funds_debt_then_gifts(self, charge, changed):
+        got = self.step4(build_construction(10)[0], {0: charge, 6: F(-1, 3), 2: F(-1, 6)})
+        assert got == (changed, [])
+
+    @pytest.mark.parametrize("charges, changed", [
+        # 0 funds 5 and tips the negative 12; 10 finds 5 funded and tips 12
+        # again, as each gift is judged on f3
+        ({5: F(-1, 3), 12: F(-1, 6)}, {0: "5/2", 5: "0", 10: "5/6", 12: "1/6"}),
+        # 10 holds less than its debtor 5 needs, so 12 tips it, though 0
+        # has funded 5 by then
+        ({5: F(-1, 3), 10: F(1, 6)}, {0: "8/3", 5: "0", 10: "1/3", 12: "1/6"}),
+    ])
+    def test_step4_funds_each_debtor_once(self, charges, changed):
+        # a process graph whose V_3 vertices 0 and 10 share the V_4 debtor 5
+        # and the V_3 neighbour 12
+        got = self.step4(process_graphs()[4], charges)
+        assert got == (changed, ["stage-two step 4: 10 found already-funded neighbors"])
+
+    @pytest.mark.parametrize("debts, changed", [
+        # 0, 2 and 4 empty into 1 and 3; 1 then holds 1/2 and pays 1/6 + 1/9
+        # to 8 and 7, or all of it to cover 1/6 + 1/3
+        ({8: F(-1, 6), 7: F(-1, 9)},
+         {0: "0", 1: "2/9", 2: "0", 3: "5/6", 4: "0", 7: "0", 8: "0"}),
+        ({8: F(-1, 6), 7: F(-1, 3)},
+         {0: "0", 2: "0", 3: "5/6", 4: "0", 7: "0", 8: "0"}),
+        # a negative 0 does not empty: 1 gets 1/6 from 4 and pays 0's debt,
+        # so 3, which sees 0 too, keeps its 1/3 from 2 and 1/6 from 4
+        ({0: F(-1, 6)}, {0: "0", 2: "0", 3: "1/2", 4: "0"}),
+    ])
+    def test_step7_settles_debts(self, debts, changed):
+        got = self.step7(build_construction(10)[0], debts)
+        assert got == (changed, [])
+
+    def test_step7_cannot_cover(self):
+        # the debtors keep their charge, and 3, which sees neither, is silent
+        got = self.step7(build_construction(10)[0], {8: F(-1, 3), 7: F(-1, 3)})
+        assert got == ({0: "0", 1: "1/2", 2: "0", 3: "5/6", 4: "0"},
+                       ["stage-two step 7: vertex 1 cannot cover 2/3"])
+
+    def test_step7_next_vertex_settles(self):
+        # 1 cannot cover 0's 1/3 with its 1/6 from 4; then 3 pays it
+        got = self.step7(build_construction(10)[0], {0: F(-1, 3)})
+        assert got == ({0: "0", 1: "1/6", 2: "0", 3: "1/6", 4: "0"},
+                       ["stage-two step 7: vertex 1 cannot cover 1/3"])
