@@ -8,6 +8,7 @@ word. Graphs are immutable; every mutator returns a new instance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -208,11 +209,6 @@ class CyclePath(_CyclePathFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    @classmethod
-    def _trusted(cls, vertices, kind):
-        """A witness from a kernel path, without `__new__`'s checks."""
-        return tuple.__new__(cls, (vertices, kind))
-
     @property
     def length(self):
         return len(self.vertices) - (0 if self.kind == "cycle" else 1)
@@ -225,6 +221,11 @@ class CyclePath(_CyclePathFields):
         if self.kind == "cycle" and not g.has_edge(vs[-1], vs[0]):
             raise GraphError(f"missing closing edge {vs[-1]}-{vs[0]}")
         return True
+
+
+# CyclePath._trusted((vertices, kind)): a witness from a kernel path, without
+# `__new__`'s checks and with no Python-level call
+CyclePath._trusted = functools.partial(tuple.__new__, CyclePath)
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,7 @@ def contains_cycle(g: Graph, k):
     the first edge, in `edges()` order, that lies on a k-cycle
     (`kernels.least_cycle`)."""
     cycle = kernels.least_cycle(g.adj, k)
-    return CyclePath._trusted(cycle, "cycle") if cycle is not None else None
+    return CyclePath._trusted((cycle, "cycle")) if cycle is not None else None
 
 
 def bfs_levels(g: Graph, root, max_level) -> LevelPartition:

@@ -13,10 +13,11 @@ the paths to v are ordered by their prefixes: the first one met is the
 lexicographically least u-v path.
 
 - :func:`least_paths` is the one query: it records that first path for each
-  target and stops once every target is reached. The rest are thin callers.
-  :func:`has_path` walks into the one target T = {v}. :func:`witness_scan`
-  and ``saturation.check_saturated`` walk from each u with u's
-  non-neighbours above u as T.
+  target and stops once every target is reached. The rest run its walk.
+  :func:`has_path` walks into the one target T = {v}.
+  :func:`witness_walks` walks from each u, from n - 1 down, with u's
+  non-neighbours above u as T; :func:`witness_scan` and
+  ``saturation.check_saturated`` read its walks.
 - The walk never reaches u, so a path query with u == v finds nothing.
   Cycles go through :func:`least_cycle` alone, behind
   :func:`saturation_scan` and ``graph.contains_cycle``: a cycle of k edges
@@ -39,12 +40,21 @@ walk of two edges runs the inner loop alone. Near the end of a walk a
 vertex has one or two candidates, so a call for each would cost more than
 the work it does.
 
-One target v is never an inner vertex of a path to v, so it is not allowed
-either, and every U[j] is built, up to the U[length-1] that u's neighbors
-are tested against. With several targets only U[1] is built, and every
-later mask is the set of allowed vertices. Such a superset of U[j] still
-cuts no answer and keeps the order; U[2] and beyond hold nearly every
-allowed vertex, so building them cost more than they pruned.
+Any superset of U[j] in its place still cuts no answer and keeps the order,
+since the walk then enters every vertex it entered before and finds the
+same paths first; it only prunes less. :func:`least_paths` builds its masks
+from the targets. One target v is never an inner vertex of a path to v, so
+it is not allowed either, and every U[j] is built, up to the U[length-1]
+that u's neighbors are tested against. With several targets only U[1] is
+built, the allowed vertices of the union of adj[v] over the targets v, and
+every later mask is the set of allowed vertices: U[2] and beyond hold
+nearly every allowed vertex, so building them cost more than they pruned.
+:func:`witness_walks` builds no mask from the targets. Its targets are
+vertices above u, so it takes as U[1] the union of adj[v] over every v > u,
+for one target or many: one row more each source as it walks from n - 1
+down, where the targets' own union costs a row for each target. Every later
+mask holds every vertex: u and the path are in the visited mask, which
+every candidate test removes, and nothing is banned.
 """
 
 from __future__ import annotations
@@ -111,7 +121,11 @@ def _walk(adj, masks, visited, path, left, remaining, out):
             hit = adj[w] & remaining & ~visited
             if hit:
                 if out is not None:
-                    _record(out, (*path, w), hit)
+                    if hit & (hit - 1):
+                        _record(out, (*path, w), hit)
+                    else:
+                        v = hit.bit_length() - 1
+                        out[v] = (*path, w, v)
                 remaining ^= hit
                 if not remaining:
                     return 0
@@ -121,16 +135,20 @@ def _walk(adj, masks, visited, path, left, remaining, out):
         low = cand & -cand
         cand ^= low
         w = low.bit_length() - 1
-        seen = visited | low
-        cand2 = adj[w] & u1 & ~seen
+        free = ~(visited | low)
+        cand2 = adj[w] & u1 & free
         while cand2:
             low2 = cand2 & -cand2
             cand2 ^= low2
             x = low2.bit_length() - 1
-            hit = adj[x] & remaining & ~seen
+            hit = adj[x] & remaining & free
             if hit:
                 if out is not None:
-                    _record(out, (*path, w, x), hit)
+                    if hit & (hit - 1):
+                        _record(out, (*path, w, x), hit)
+                    else:
+                        v = hit.bit_length() - 1
+                        out[v] = (*path, w, x, v)
                 remaining ^= hit
                 if not remaining:
                     return 0
@@ -183,12 +201,39 @@ def non_neighbors_above(adj, u) -> int:
     return ~adj[u] & ((1 << len(adj)) - (2 << u))
 
 
+def witness_walks(adj, length, out=None):
+    """Walk from each source u, from n - 1 down to 0, into the mask
+    ``non_neighbors_above(adj, u)`` of targets, and yield ``(u, missed)``:
+    the mask of targets that ``least_paths(adj, u, length, targets, 0,
+    out)`` misses, with the same paths stored in `out`.  A caller reads u's
+    paths before it asks for the next source, which may overwrite them.
+
+    Each walk takes as U[1] the union of adj[v] over every v > u, a superset
+    of the targets' own union that grows by one row a source (see the module
+    docstring)."""
+    n = len(adj)
+    masks = [0, 0] + [-1] * (length - 2)  # u is in `visited`: no mask drops it
+    above = 0  # the union of adj[v] over the sources v > u
+    for u in range(n - 1, -1, -1):
+        targets = non_neighbors_above(adj, u)
+        if not targets:
+            missed = 0
+        elif 1 < length < n:
+            masks[1] = above
+            missed = _walk(adj, masks, 1 << u, [u], length, targets, out)
+        else:
+            missed = least_paths(adj, u, length, targets, 0, out)
+        yield u, missed
+        above |= adj[u]
+
+
 def witness_scan(adj, k) -> bool:
     """True iff every non-edge uv is joined by a path of k-1 edges, so that
-    adding it closes a k-cycle.  It does not test C_k-freeness: on a C_k-free
-    graph, True means C_k-saturated."""
-    for u in range(len(adj)):
-        if least_paths(adj, u, k - 1, non_neighbors_above(adj, u)):
+    adding it closes a k-cycle: no source of :func:`witness_walks` misses a
+    target.  It stops at the first miss.  It does not test C_k-freeness: on
+    a C_k-free graph, True means C_k-saturated."""
+    for _, missed in witness_walks(adj, k - 1):
+        if missed:
             return False
     return True
 

@@ -8,6 +8,7 @@ pruned by that target's own walk masks, checks the many-target walk on inputs
 too large for the permutations.
 """
 
+import collections
 import functools
 import itertools
 import operator
@@ -15,12 +16,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import satforge
 from satforge import kernels
+from satforge.construction import build_construction
 from satforge.graph import Graph, contains_cycle, to_graph6
 from satforge.saturation import check_saturated
 from tests.conftest import complete_graph, cycle_graph, path_graph
@@ -235,6 +238,80 @@ def test_least_paths_property(data):
     out = {}
     missed = kernels.least_paths(g.adj, u, length, targets, banned, out)
     assert (out, missed) == per_target(g.adj, u, length, targets, banned)
+    # the source-wide entry, for every source, against the same reference
+    for u, targets, missed, paths, first in entry_walks(g.adj, length):
+        assert (paths, missed) == per_target(g.adj, u, length, targets, 0)
+        if first is not None:
+            assert kernels._masks(g.adj, u, length, targets, 0)[1] & ~first == 0
+
+
+def entry_walks(adj, length):
+    """Each source of kernels.witness_walks(adj, length, out) in the order
+    met, as (u, targets, missed, paths, first): `targets` are u's
+    non-neighbours above u, `paths` the slots its walk wrote and `first`
+    masks[1] of its top-level walk, or None when it ran no walk."""
+    firsts = []
+    walk = kernels._walk
+
+    def spy(adj, masks, visited, path, *rest):
+        if len(path) == 1:
+            firsts.append(masks[1])
+        return walk(adj, masks, visited, path, *rest)
+
+    out, met = {}, []
+    with mock.patch.object(kernels, "_walk", spy):
+        for u, missed in kernels.witness_walks(adj, length, out):
+            assert len(firsts) <= 1
+            met.append((u, kernels.non_neighbors_above(adj, u), missed, dict(out),
+                        firsts.pop() if firsts else None))
+            out.clear()
+    return met
+
+
+def check_entry(adj, length):
+    """witness_walks against one least_paths query per source, its first
+    masks against _masks; returns the sources' target counts."""
+    n = len(adj)
+    met = entry_walks(adj, length)
+    assert [u for u, *_ in met] == list(range(n - 1, -1, -1))
+    for u, targets, missed, paths, first in met:
+        want = {}
+        assert kernels.least_paths(adj, u, length, targets, 0, want) == missed
+        assert paths == want
+        if targets and 1 < length < n:
+            assert first is not None
+            assert kernels._masks(adj, u, length, targets, 0)[1] & ~first == 0
+        else:
+            assert first is None
+    return [targets.bit_count() for _, targets, *_ in met]
+
+
+def test_witness_walks_match_least_paths():
+    # the graphs of path_table, the family for n = 9..64, and small ones
+    graphs = [g for g, _ in GRAPHS]
+    graphs += [build_construction(n)[0] for n in range(9, 65)]
+    graphs += [Graph(1, [0]), Graph(2, [0, 0]), path_graph(3)]
+    counts = collections.Counter()
+    beyond = 0
+    for g in graphs:
+        for k in range(3, 9):
+            counts.update(min(c, 2) for c in check_entry(g.adj, k - 1))
+            beyond += k - 1 >= g.n
+    # sources with no target, one and several, and walks longer than a path
+    assert counts[0] and counts[1] and counts[2] and beyond
+
+
+def test_witness_walks_edge_cases():
+    # K_1: one source, no target; its walks never start
+    assert entry_walks([0], 2) == [(0, 0, 0, {}, None)]
+    # two isolated vertices: source 0 has the one target 1 and no path to it
+    assert entry_walks([0, 0], 2) == [(1, 0, 0, {}, None), (0, 2, 2, {}, None)]
+    # the path 0-1-2: the non-edge 0-2 by the walk of two edges, and no walk
+    # of three edges fits in three vertices
+    adj = path_graph(3).adj
+    assert entry_walks(adj, 2) == [(2, 0, 0, {}, None), (1, 0, 0, {}, None),
+                                   (0, 4, 0, {2: (0, 1, 2)}, adj[1] | adj[2])]
+    assert [m for _, _, m, _, _ in entry_walks(adj, 3)] == [0, 0, 4]
 
 
 def test_least_paths_edge_cases():

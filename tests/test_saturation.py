@@ -131,6 +131,49 @@ class TestCheckSaturated:
                 assert is_saturated_fast(g, k) == check_saturated(g, k).saturated
 
 
+def brute_report(g, k):
+    """(verdict, missing pair, witness keys) of a C_k certificate, by
+    brute force over vertex sequences, one non-edge at a time."""
+    def has_path(u, v, length):
+        others = [w for w in range(g.n) if w not in (u, v)]
+        return any(all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+                   for inner in itertools.permutations(others, length - 1)
+                   for p in [(u, *inner, v)])
+
+    if any(has_path(u, v, k - 1) for u, v in g.edges()):
+        return "not-free", None, []
+    keys = [(u, v) for u, v in g.non_edges() if has_path(u, v, k - 1)]
+    lost = [e for e in g.non_edges() if e not in keys]
+    return ("missing-witness" if lost else "saturated"), min(lost, default=None), keys
+
+
+class TestReportEdgeCases:
+    GRAPHS = {
+        "K_1": Graph(1, [0]),
+        "two isolated vertices": Graph(2, [0, 0]),
+        "two triangles": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                              (3, 4), (4, 5), (3, 5)]),
+        "triangle and an edge": Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        "K_1,3 and a vertex": Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]),
+        "K_1,5": star_graph(6),
+        "P_7": path_graph(7),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_report_matches_per_pair_oracle(self, name):
+        # k - 1 >= n for every graph here at k = 8, and for K_1 throughout
+        g = self.GRAPHS[name]
+        for k in range(3, 9):
+            rep = check_saturated(g, k)
+            verdict, missing, keys = brute_report(g, k)
+            assert (rep.verdict, rep.missing) == (verdict, missing), k
+            if verdict != "not-free":
+                assert list(rep.witnesses) == keys == sorted(keys)
+                for (u, v), cyc in rep.witnesses.items():
+                    assert cyc.length == k and cyc.validate(g.with_edge(u, v))
+            assert is_saturated_fast(g, k) == rep.saturated
+
+
 def brute_cycles_through(g, v, k):
     """The k-cycles through v as vertex tuples (v, c1, .., c_{k-1}), each
     once per direction, from every tuple of k - 1 other vertices."""
