@@ -4,10 +4,17 @@ Root selection, distance layering, the initial per-vertex charge, five
 first-stage redistribution steps, seven second-stage steps, and the audit
 that checks every conservation identity and runtime assertion. Every stored
 charge is an exact `fractions.Fraction`. Sums of charges are taken over one
-common denominator (`exact_sum`), and the checks compare charges with their
-bounds in integer sixths, cross-multiplied by the charge's numerator and
-denominator. Both are exact integer arithmetic, so equality tests carry zero
-tolerance.
+common denominator (`exact_sum`), and so are the transfers of a step: each
+vertex's net change is an integer over the amounts' common denominator, and
+a vertex whose net change is 0 keeps its charge object (`_apply`). The rules
+and the checks read a charge's sign from its numerator, and compare charges
+with multiples of 1/6 in integer sixths, cross-multiplied by the charge's
+numerator and denominator (`_sixths`). All of it is exact integer
+arithmetic, so equality tests carry zero tolerance.
+
+The audit scans its input for C_6-freeness and every witness once. After the
+T_2 vertices are deleted it rescans only the witnesses, since deleting
+vertices cannot create a C_6.
 
 Stage snapshot semantics: each step is a function of the complete previous
 ledger; within a step, all sends are computed from the snapshot and applied
@@ -20,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import kernels
 from .construction import lower_bound_edges
 from .graph import Graph, GraphError, LevelPartition, bfs_levels, vertex_list
 from .saturation import (
@@ -257,13 +265,13 @@ def classify(ledger: ChargeLedger) -> ChargeLedger:
         if i < 2:
             continue
         c = gch[v]
-        if c < 0:
-            if c != -THIRD:
+        if c.numerator < 0:
+            if _sixths(c, -2):
                 raise DischargeError(f"negative charge {c} at {v} is not -1/3")
             base[v] = "-"
-        elif c == SIXTH:
+        elif _sixths(c, 1) == 0:
             base[v] = "1"
-        elif c >= TWO_THIRDS:
+        elif _sixths(c, 4) >= 0:
             base[v] = "2"
         else:
             raise DischargeError(f"charge {c} at {v} outside the value grid")
@@ -283,11 +291,31 @@ def classify(ledger: ChargeLedger) -> ChargeLedger:
 # ---------------------------------------------------------------------------
 
 def _apply(charges, transfers):
-    out = dict(charges)
+    """A copy of `charges` with every transfer (sender, receiver, amount)
+    applied at once. Each vertex's net change is summed as an integer over
+    the least common multiple of the amounts' denominators, and one
+    `Fraction` is built for each vertex whose charge changes; a vertex whose
+    net change is 0 keeps its charge object."""
+    den = 1
+    for _, _, amount in transfers:
+        den = math.lcm(den, amount.denominator)
+    net = {}
     for sender, receiver, amount in transfers:
-        out[sender] -= amount
-        out[receiver] += amount
+        m = amount.numerator * (den // amount.denominator)
+        net[sender] = net.get(sender, 0) - m
+        net[receiver] = net.get(receiver, 0) + m
+    out = dict(charges)
+    for v, m in net.items():
+        if m:
+            c = out[v]
+            q = c.denominator
+            out[v] = F(c.numerator * den + m * q, q * den)
     return out
+
+
+def _sixths(c, b):
+    """An integer with the sign of c - b/6: 6p - bq for c = p/q, as q > 0."""
+    return 6 * c.numerator - b * c.denominator
 
 
 def _c1_exclusions(ledger, u):
@@ -358,13 +386,13 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
                         transfers.append((u, v, SIXTH))
     g1 = _apply(g, transfers)
     for u, _, _ in transfers:
-        if g1[u] < 0:
+        if g1[u].numerator < 0:
             raise RuleConflict(f"stage-one step 1 overdrew vertex {u}")
 
     # steps 2 and 4: same-level 1/6 pair balancing in the deepest layer
     def pair_balance(charges):
         moves = [(a, b, SIXTH) for a, b, ya, yb in _paired_ones(ledger, 5)
-                 if charges[ya] >= 0 and charges[yb] < 0]
+                 if charges[ya].numerator >= 0 and charges[yb].numerator < 0]
         return _apply(charges, moves)
 
     g2 = pair_balance(g1)
@@ -372,12 +400,12 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
     # step 3: residual negatives pull matching 1/6 charge from below
     transfers = []
     for i in (2, 3, 4):
-        t = SIXTH if i in (2, 3) else THIRD
+        t, t6 = (SIXTH, 1) if i in (2, 3) else (THIRD, 2)
         for y in ledger.level_set(i):
-            if ledger.classes.get(y) not in MINUS or g2[y] >= 0:
+            if ledger.classes.get(y) not in MINUS or g2[y].numerator >= 0:
                 continue
             for z in ledger.nbrs_class(y, i + 1, ("1",)):
-                if g2[z] == t:
+                if _sixths(g2[z], t6) == 0:
                     transfers.append((z, y, t))
     g3 = _apply(g2, transfers)
 
@@ -386,7 +414,7 @@ def stage_one(ledger: ChargeLedger) -> ChargeLedger:
     # step 5: remaining negatives in V_4 drain their 1/6-class V_5 neighbors
     transfers = []
     for y in ledger.level_set(4):
-        if ledger.classes.get(y) not in MINUS or g4[y] >= 0:
+        if ledger.classes.get(y) not in MINUS or g4[y].numerator >= 0:
             continue
         for z in ledger.nbrs_class(y, 5, ("1",)):
             transfers.append((z, y, g4[z]))
@@ -410,7 +438,7 @@ def _empty_level(ledger, charges, i, step, split=None, negatives_send=False):
     transfers, senders = [], []
     for w in ledger.level_set(i):
         c = charges[w]
-        if c < 0 and not negatives_send:
+        if c.numerator < 0 and not negatives_send:
             continue
         down = ledger.nbrs_at(w, i - 1)  # non-empty: w is at distance i >= 2
         fracs = split(ledger, w, down) if split else None
@@ -422,7 +450,7 @@ def _empty_level(ledger, charges, i, step, split=None, negatives_send=False):
         senders.append(w)
     out = _apply(charges, transfers)
     for w in senders:
-        if out[w] != 0:
+        if out[w].numerator:
             raise RuleConflict(
                 f"level-{i} vertex {w} not emptied by stage-two step {step}")
     return out
@@ -473,14 +501,14 @@ def _split_exception(ledger, w, down):
 def _stage2_step2(ledger, f1):
     transfers = []
     for z in ledger.level_set(4):
-        needy = [z2 for z2 in ledger.nbrs_at(z, 4) if f1[z2] < 0]
-        if needy and f1[z] >= SIXTH * len(needy):
+        needy = [z2 for z2 in ledger.nbrs_at(z, 4) if f1[z2].numerator < 0]
+        if needy and _sixths(f1[z], len(needy)) >= 0:
             for z2 in needy:
                 transfers.append((z, z2, SIXTH))
     for recv, send, yr, ys in _paired_ones(ledger, 4):
-        if f1[recv] == 0 and f1[yr] < 0:
-            if (f1[send] >= THIRD and f1[ys] < 0) or (
-                f1[send] >= SIXTH and f1[ys] >= 0
+        if f1[recv].numerator == 0 and f1[yr].numerator < 0:
+            if (_sixths(f1[send], 2) >= 0 and f1[ys].numerator < 0) or (
+                _sixths(f1[send], 1) >= 0 and f1[ys].numerator >= 0
             ):
                 transfers.append((send, recv, SIXTH))
     return _apply(f1, transfers)
@@ -508,7 +536,8 @@ def _stage2_step4(ledger, f3):
     once, and when they can afford every tip as well, tip 1/6 to same-level
     neighbors left short."""
     level3 = ledger.level_set(3)
-    needy = {y: [z for z in ledger.nbrs_at(y, 4) if f3[z] < 0] for y in level3}
+    needy = {y: [z for z in ledger.nbrs_at(y, 4) if f3[z].numerator < 0]
+             for y in level3}
     snap_s = {y: exact_sum([-f3[z] for z in zs]) for y, zs in needy.items()}
     funded = set()
     transfers = []
@@ -524,7 +553,7 @@ def _stage2_step4(ledger, f3):
         transfers += [(y, z, -f3[z]) for z in live]
         funded.update(live)
         gifts = [y1 for y1 in ledger.nbrs_at(y, 3) if f3[y1] < snap_s[y1]]
-        if f3[y] >= s + SIXTH * len(gifts):
+        if gifts and _sixths(f3[y] - s, len(gifts)) >= 0:
             transfers += [(y, y1, SIXTH) for y1 in gifts]
     return _apply(f3, transfers)
 
@@ -533,9 +562,9 @@ def _stage2_step5(ledger, f4):
     funded = set()
     transfers = []
     for y in ledger.level_set(3):
-        live = [z for z in ledger.nbrs_at(y, 4) if f4[z] < 0 and z not in funded]
-        need = exact_sum([-f4[z] for z in live])
-        if live and f4[y] >= need:
+        live = [z for z in ledger.nbrs_at(y, 4)
+                if f4[z].numerator < 0 and z not in funded]
+        if live and f4[y] >= exact_sum([-f4[z] for z in live]):
             transfers += [(y, z, -f4[z]) for z in live]
             funded.update(live)
     return _apply(f4, transfers)
@@ -543,7 +572,8 @@ def _stage2_step5(ledger, f4):
 
 def _stage2_step6(ledger, f5):
     transfers = [(a, b, SIXTH) for a, b, xa, xb in _paired_ones(ledger, 3)
-                 if f5[xa] >= 0 and f5[xb] < 0 and f5[a] >= SIXTH and f5[b] == 0]
+                 if f5[xa].numerator >= 0 and f5[xb].numerator < 0
+                 and _sixths(f5[a], 1) >= 0 and f5[b].numerator == 0]
     return _apply(f5, transfers)
 
 
@@ -560,7 +590,7 @@ def _stage2_step7(ledger, f6):
         pool = set(up)
         for y in up:
             pool.update(ledger.nbrs_at(y, 4))
-        debts = sorted(v for v in pool if f6[v] < 0 and v not in funded)
+        debts = sorted(v for v in pool if f6[v].numerator < 0 and v not in funded)
         if not debts:
             continue
         need = exact_sum([-f6[v] for v in debts])
@@ -654,12 +684,10 @@ def _check_observations(ledger, fail):
             nplus = ledger.n_class(x, i - 1, PLUS)
             nminus1 = ledger.n_class(x, i - 1, ("-1",))
             nsame2 = ledger.n_class(x, i, ("2",))
-            # each bound is b/6 for an integer b, and c = p/q < b/6 exactly
-            # when 6p < bq, since q > 0
+            # each bound is b/6 for an integer b
             c = gs[x]
-            p, q = c.numerator, c.denominator
             floor6 = 4 * ndown + 2 * nplus + nminus1 + 2 * nsame + nsame2 - 8
-            if 6 * p < floor6 * q:
+            if _sixths(c, floor6) < 0:
                 fail.append(f"class charge floor violated at {x}: {c} < {F(floor6, 6)}")
             strong = (
                 nplus >= 2
@@ -668,7 +696,7 @@ def _check_observations(ledger, fail):
                 or (nplus + ndown == 3 and nsame2 >= 1)
                 or (nplus + ndown == 3 and nminus1 + nsame >= 2)
             )
-            if strong and 6 * p < (2 * ndown + nsame) * q:
+            if strong and _sixths(c, 2 * ndown + nsame) < 0:
                 fail.append(f"strong conditional bound violated at {x}")
             weak = (
                 nplus >= 2
@@ -678,7 +706,7 @@ def _check_observations(ledger, fail):
                 or (nplus + ndown == 2 and nminus1 + nsame >= 2)
                 or (nplus + ndown == 1 and nminus1 + nsame2 >= 3)
             )
-            if weak and 6 * p < (ndown + nsame) * q:
+            if weak and _sixths(c, ndown + nsame) < 0:
                 fail.append(f"weak conditional bound violated at {x}")
 
 
@@ -725,7 +753,9 @@ def audit(g: Graph) -> DischargeAudit:
     if ts.t2:
         removed = len(ts.t2)
         g = reduce_t2(g, ts.t2)
-        if not is_saturated_fast(g, 6):
+        # deleting vertices cannot create a C_6, so the reduced graph is
+        # C_6-free like the input, and only its witnesses need a rescan
+        if not kernels.witness_scan(g.adj, 6):
             raise DischargeError("T_2 reduction destroyed saturation")
     n, e = g.n, g.edge_count
     delta = g.min_degree()

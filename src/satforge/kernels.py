@@ -32,13 +32,15 @@ over the vertices x of U[j]. From an inner vertex w with j edges still to
 go, the rest of a path into T is a walk of j edges into T through allowed
 vertices, so w is in U[j]. The walk enters w only when w is in U[j]: it cuts
 no answer and meets the answers in the same order, for one target or many,
-and for cycles alike. The walk recurses while more than three edges are to
-go, and takes the last three in one call: a loop over the candidates in
-U[2] and, inside it, a loop over each one's candidates in U[1], where the
-targets adjacent to the candidate and off the path are taken at once. A
-walk of two edges runs the inner loop alone. Near the end of a walk a
-vertex has one or two candidates, so a call for each would cost more than
-the work it does.
+and for cycles alike. The walk recurses while more than four edges are to
+go, and takes the last four in one call: a loop over the candidates in
+U[3], inside it a loop over each one's candidates in U[2], and inside that
+a loop over theirs in U[1], where the targets adjacent to the candidate and
+off the path are taken at once. A walk of three or two edges runs the two
+inner loops or the innermost one alone, each in a body of its own: a call
+per candidate into a shared three-edge body cost as much as the recursion
+it replaced. Near the end of a walk a vertex has one or two candidates, so
+a call for each would cost more than the work it does.
 
 Any superset of U[j] in its place still cuts no answer and keeps the order,
 since the walk then enters every vertex it entered before and finds the
@@ -100,10 +102,10 @@ def _walk(adj, masks, visited, path, left, remaining, out):
     target mask `remaining`, recording in `out` (when not None) the first path
     met to each target. Returns the targets still unreached.
 
-    Above three edges to go it recurses; the last three (or two, for a walk
-    of two edges) are taken here in loops over candidate masks."""
+    Above four edges to go it recurses; the last four (or three or two, for
+    a shorter walk) are taken here in loops over candidate masks."""
     cand = adj[path[-1]] & masks[left - 1] & ~visited
-    if left > 3:
+    if left > 4:
         while cand:
             low = cand & -cand
             cand ^= low
@@ -131,27 +133,57 @@ def _walk(adj, masks, visited, path, left, remaining, out):
                     return 0
         return remaining
     u1 = masks[1]
+    if left == 3:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            free = ~(visited | low)
+            cand2 = adj[w] & u1 & free
+            while cand2:
+                low2 = cand2 & -cand2
+                cand2 ^= low2
+                x = low2.bit_length() - 1
+                hit = adj[x] & remaining & free
+                if hit:
+                    if out is not None:
+                        if hit & (hit - 1):
+                            _record(out, (*path, w, x), hit)
+                        else:
+                            v = hit.bit_length() - 1
+                            out[v] = (*path, w, x, v)
+                    remaining ^= hit
+                    if not remaining:
+                        return 0
+        return remaining
+    u2 = masks[2]
     while cand:
         low = cand & -cand
         cand ^= low
         w = low.bit_length() - 1
         free = ~(visited | low)
-        cand2 = adj[w] & u1 & free
+        cand2 = adj[w] & u2 & free
         while cand2:
             low2 = cand2 & -cand2
             cand2 ^= low2
             x = low2.bit_length() - 1
-            hit = adj[x] & remaining & free
-            if hit:
-                if out is not None:
-                    if hit & (hit - 1):
-                        _record(out, (*path, w, x), hit)
-                    else:
-                        v = hit.bit_length() - 1
-                        out[v] = (*path, w, x, v)
-                remaining ^= hit
-                if not remaining:
-                    return 0
+            free2 = free & ~low2
+            cand3 = adj[x] & u1 & free2
+            while cand3:
+                low3 = cand3 & -cand3
+                cand3 ^= low3
+                y = low3.bit_length() - 1
+                hit = adj[y] & remaining & free2
+                if hit:
+                    if out is not None:
+                        if hit & (hit - 1):
+                            _record(out, (*path, w, x, y), hit)
+                        else:
+                            v = hit.bit_length() - 1
+                            out[v] = (*path, w, x, y, v)
+                    remaining ^= hit
+                    if not remaining:
+                        return 0
     return remaining
 
 

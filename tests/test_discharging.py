@@ -325,18 +325,21 @@ class TestAudit:
             assert all(f["f7"][y] == 0 for y in led.level_set(3) if f["f6"][y] >= 0)
 
     def test_no_good_root_branch_adds_no_scan(self, monkeypatch):
-        scans = []
-        scan = kernels.saturation_scan
-        monkeypatch.setattr(kernels, "saturation_scan",
-                            lambda adj, k: scans.append(adj) or scan(adj, k))
+        calls = {"least_cycle": 0, "witness_scan": 0}
+        for name in calls:
+            def counted(adj, k, name=name, scan=getattr(kernels, name)):
+                calls[name] += 1
+                return scan(adj, k)
+            monkeypatch.setattr(kernels, name, counted)
         seen = 0
         for g in _pinned_graphs():
-            scans.clear()
+            calls.update(least_cycle=0, witness_scan=0)
             a = audit(g)
-            if a.branch == "no-good-root":
-                # the input scan, and the post-T_2 scan when T_2 is not empty
-                assert len(scans) == 1 + bool(a.reduced_t2)
-                seen += 1
+            # one cycle walk, on the input; one witness scan of the input,
+            # and one of the reduced graph when T_2 is not empty
+            assert calls == {"least_cycle": 1,
+                             "witness_scan": 1 + bool(a.reduced_t2)}, a.branch
+            seen += a.branch == "no-good-root"
         assert seen == 5
 
     def test_pinned_digest(self):
@@ -394,6 +397,74 @@ class TestExactSum:
         charges = {0: F(-1, 3), 1: F(7, 9), 2: F(1, 45), 3: F(-1, 180)}
         assert exact_sum(charges.values()) == F(-1, 3) + F(7, 9) + F(1, 45) - F(1, 180)
         assert exact_sum([2, F(-1, 3), -1]) == F(2, 3)
+
+
+def generic_apply(charges, transfers):
+    """The reference: each transfer as two Fraction operations."""
+    out = dict(charges)
+    for s, r, a in transfers:
+        out[s] -= a
+        out[r] += a
+    return out
+
+
+class TestApply:
+    """`_apply` sums each vertex's net transfer as an integer over one common
+    denominator; it must agree with the generic Fraction loop."""
+
+    DENS = (1, 2, 3, 4, 5, 6, 9, 12, 18, 36, 45, 180)
+
+    def check(self, charges, transfers):
+        before = dict(charges)
+        got = discharging._apply(charges, transfers)
+        assert charges == before and all(charges[v] is before[v] for v in charges)
+        assert got == generic_apply(charges, transfers)
+        assert all(type(c) is F for c in got.values())
+        net = dict.fromkeys(charges, 0)
+        for s, r, a in transfers:
+            net[s] -= a
+            net[r] += a
+        for v, d in net.items():
+            if d == 0:  # untouched, or every transfer cancelled out
+                assert got[v] is charges[v], v
+
+    def test_matches_the_generic_loop(self):
+        rng = random.Random(23)
+        for n in (1, 2, 5, 12):
+            for size in range(12):
+                for _ in range(30):
+                    charges = {v: F(rng.randint(-200, 200), rng.choice(self.DENS))
+                               for v in range(n)}
+                    transfers = []
+                    for _ in range(size):
+                        s, r = rng.randrange(n), rng.randrange(n)
+                        a = F(rng.randint(0, 30) * rng.randint(0, 1), rng.choice(self.DENS))
+                        transfers.append((s, r, a))
+                        if rng.random() < 0.3:  # the same amount back: net zero
+                            transfers.append((r, s, a))
+                    self.check(charges, transfers)
+
+    def test_edge_cases(self):
+        charges = {0: F(-1, 3), 1: F(7, 6), 2: F(1, 180), 3: F(0)}
+        self.check(charges, [])
+        assert discharging._apply(charges, []) is not charges
+        # zero amounts, a vertex sending to itself, and a cycle of equal sends
+        self.check(charges, [(0, 1, F(0)), (2, 2, F(1, 6))])
+        self.check(charges, [(0, 1, F(1, 6)), (1, 2, F(1, 6)), (2, 0, F(1, 6))])
+        got = discharging._apply(charges, [(1, 0, F(1, 3)), (1, 3, F(5, 9)),
+                                           (2, 3, F(1, 180))])
+        assert got == {0: F(0), 1: F(5, 18), 2: F(0), 3: F(101, 180)}
+
+
+def test_sixths_sign_matches_fraction_comparison():
+    for p in range(-40, 41):
+        for q in (1, 2, 3, 4, 5, 6, 7, 9, 12, 18, 36, 45, 180):
+            c = F(p, q)
+            for b in range(-2, 7):  # b/6 from classify's -1/3 up to 1
+                s = discharging._sixths(c, b)
+                assert type(s) is int
+                assert (s > 0, s == 0, s < 0) == (c > F(b, 6), c == F(b, 6),
+                                                  c < F(b, 6)), (c, b)
 
 
 class TestIntegerBounds:
