@@ -19,17 +19,19 @@ of McKay's canonical augmentation ("Isomorph-free exhaustive generation",
 1998), built from one pass over the parent.  Children are still deduped by
 canonical code, so a partial group costs speed, never a class.  Level
 graphs are C_k-free by construction, so the saturation test only looks for
-witnesses.  It runs from m = n-1 upward (a saturated graph is connected), so
-the first level holding a saturated graph gives sat(n, C_k).
+witnesses.  It runs from m = n-1 upward (a saturated graph is connected), on
+each new class as it is labeled, so the first level holding a saturated
+graph gives sat(n, C_k).
 
 Every level is expanded in shares by p participants: the process and one
 forked worker per extra CPU it may run on, with at least `MIN_SHARE`
 parents each (p = 1, no fork, for a small level or under `taskset -c 0`).
-Each expands every p-th parent, and the workers send their children back
-through pipes.  Merged by parent index, keeping the first child met per
-canonical code, the shares give the same representatives in the same order
-as one sequential pass, so `nodes`, the level sizes and the graph6 output
-do not depend on the CPU count.
+Each expands every p-th parent, scans the new classes it finds for
+witnesses, and the workers send their children back through pipes.  Merged
+by parent index, keeping the first child met per canonical code, the shares
+give the same representatives in the same order as one sequential pass, so
+`nodes`, the level sizes and the graph6 output do not depend on the CPU
+count.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import kernels
-from .graph import Graph, GraphError, write_graph6_file
+from .graph import Graph, GraphError, vertex_list, write_graph6_file
 
 MAX_CANON_VERTICES = 16
 
@@ -66,26 +68,21 @@ class EmptyLevelError(RuntimeError):
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _mask(vertices):
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _refine(adj, cells, masks, splitters):
-    """Stable equitable refinement of an ordered partition, in place: `cells`
-    are lists of vertices and `masks` their bitmasks.
+def _refine(adj, cells, splitters):
+    """Stable equitable refinement of an ordered partition, in place: each
+    cell is the bitmask of its vertices.
 
     Each pass splits every cell by its members' neighbor counts in the cells
     of the partition the pass started from, `(adj[v] & mask).bit_count()`:
-    groups in descending order of that count vector, members in their old
-    order.  Every cell lies inside one degree class, so two members' count
-    vectors have the same sum, and descending count vectors order them
+    groups in descending order of that count vector.  Order within a cell is
+    never read.  Every cell lies inside one degree class, so two members'
+    count vectors have the same sum, and descending count vectors order them
     exactly as ascending sorted tuples of neighbor cell indices would.  With
     several splitters the vector is packed into one int, five bits a count:
     a count is at most n - 1 <= 15, so descending ints order the groups as
-    descending vectors do.
+    descending vectors do.  When the one splitter is a vertex w, as after
+    every individualization, a cell c splits into c & adj[w], then
+    c & ~adj[w], with no loop over its members.
 
     `splitters` are the masks of the cells that the last split created, in
     partition order, less the last group of each split cell.  Members of one
@@ -93,48 +90,47 @@ def _refine(adj, cells, masks, splitters):
     group, follow from the rest), so only these counts can order them.
     """
     while splitters:
-        created = []
         splits = []
-        for i, cell in enumerate(cells):
-            if len(cell) == 1:
-                continue
-            groups = {}
-            if len(splitters) == 1:  # as after individualizing one vertex
-                m = splitters[0]
-                for v in cell:
-                    groups.setdefault((adj[v] & m).bit_count(), []).append(v)
-            else:
-                for v in cell:
-                    row = adj[v]
+        if len(splitters) == 1 and not splitters[0] & splitters[0] - 1:
+            near = adj[splitters[0].bit_length() - 1]
+            for i, cell in enumerate(cells):
+                inside = cell & near
+                if inside and inside != cell:
+                    splits.append((i, [inside, cell ^ inside]))
+        else:
+            for i, cell in enumerate(cells):
+                if not cell & cell - 1:
+                    continue
+                groups = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row = adj[low.bit_length() - 1]
                     sig = 0
                     for m in splitters:
                         sig = sig << 5 | (row & m).bit_count()
-                    groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                continue
-            parts = [groups[sig] for sig in sorted(groups, reverse=True)]
-            part_masks = [_mask(part) for part in parts]
-            created.extend(part_masks[:-1])
-            splits.append((i, parts, part_masks))
+                    groups[sig] = groups.get(sig, 0) | low
+                if len(groups) > 1:
+                    splits.append((i, [groups[sig]
+                                       for sig in sorted(groups, reverse=True)]))
         if not splits:
             break
-        for i, parts, part_masks in reversed(splits):
+        for i, parts in reversed(splits):
             cells[i:i + 1] = parts
-            masks[i:i + 1] = part_masks
-        splitters = created
+        splitters = [part for _, parts in splits for part in parts[:-1]]
 
 
-def _is_twin_cell(adj, cell, mask):
-    """All members share one external neighborhood and induce an empty or
-    complete graph; any ordering of the cell is then automorphic."""
-    first = adj[cell[0]]
-    ext = first & ~mask
-    empty = not first & mask
-    for v in cell:
-        row = adj[v]
-        if row & ~mask != ext or row & mask != (0 if empty else mask ^ 1 << v):
-            return False
-    return True
+def _is_twin_cell(adj, cell, members):
+    """All `members` of the cell mask `cell` share one external neighborhood
+    and induce an empty or complete graph; any ordering of the cell is then
+    automorphic.  The test is symmetric in the members: a complete cell has
+    every row | its own bit equal, an empty one every row equal."""
+    first = adj[members[0]]
+    if first & cell:
+        full = first | 1 << members[0]
+        return all(adj[v] | 1 << v == full for v in members)
+    return all(adj[v] == first for v in members)
 
 
 class _Labeler:
@@ -196,11 +192,19 @@ class _Labeler:
                     frontier |= bit
         return orbit >> v & 1
 
-    def search(self, cells, masks, splitters, prefix):
+    def search(self, cells, splitters, prefix):
         """Refine, then record a leaf or branch on the first non-singleton
         cell.  The partition was equitable before the cells split off here,
         so only those can split others (see `_refine`).  `prefix` is the mask
         of the vertices individualized on the way here.
+
+        A twin cell is individualized whole, its members in ascending order,
+        with no refinement after it: the partition stays equitable.  Its
+        members share one external neighborhood, so a vertex outside it is
+        adjacent to all of them or to none, and the members of another cell,
+        having equal counts in it, all are or all are not.  So no new
+        singleton splits a cell, and the next non-singleton cell is taken at
+        once.
 
         A sibling v is skipped when a known automorphism g fixing `prefix`
         pointwise (a product of such generators) maps an explored sibling w
@@ -209,31 +213,31 @@ class _Labeler:
         twin cell differently, but a twin swap is an automorphism too).
         Every code of v's subtree was met first under w, so the first best
         leaf, and with it the code and ordering, does not change."""
-        _refine(self.adj, cells, masks, splitters)
-        for split_at, cell in enumerate(cells):
-            if len(cell) > 1:
+        adj = self.adj
+        _refine(adj, cells, splitters)
+        split_at = 0
+        while True:
+            for split_at in range(split_at, len(cells)):
+                cell = cells[split_at]
+                if cell & cell - 1:
+                    break
+            else:
+                self.leaf([c.bit_length() - 1 for c in cells])
+                return
+            members = vertex_list(cell)
+            if not _is_twin_cell(adj, cell, members):
                 break
-        else:
-            self.leaf([c[0] for c in cells])
-            return
+            self.twins(members)
+            cells[split_at:split_at + 1] = [1 << v for v in members]
+            prefix |= cell
+            split_at += len(members)
         head, tail = cells[:split_at], cells[split_at + 1:]
-        mhead, mtail = masks[:split_at], masks[split_at + 1:]
-        cell = sorted(cell)
-        if _is_twin_cell(self.adj, cell, masks[split_at]):
-            self.twins(cell)
-            fixed = [1 << v for v in cell]
-            self.search(head + [[v] for v in cell] + tail,
-                        mhead + fixed + mtail, fixed[:-1],
-                        prefix | masks[split_at])
-            return
         explored = 0
-        for v in cell:
+        for v in members:
             if explored and self.covered(v, explored, prefix):
                 continue
-            rest = [w for w in cells[split_at] if w != v]
-            self.search(head + [[v], rest] + tail,
-                        mhead + [1 << v, masks[split_at] ^ 1 << v] + mtail,
-                        [1 << v], prefix | 1 << v)
+            self.search(head + [1 << v, cell ^ 1 << v] + tail, [1 << v],
+                        prefix | 1 << v)
             explored |= 1 << v
 
 
@@ -250,13 +254,12 @@ def canonical_form(g: Graph):
     """
     if g.n > MAX_CANON_VERTICES:
         raise SearchError(f"canonical labeling bounded to n <= {MAX_CANON_VERTICES}")
-    by_degree = {}
+    of_degree = [0] * g.n  # degree -> mask of the vertices with it
     for v, row in enumerate(g.adj):
-        by_degree.setdefault(row.bit_count(), []).append(v)
-    cells = [by_degree[d] for d in sorted(by_degree)]
-    masks = [_mask(cell) for cell in cells]
+        of_degree[row.bit_count()] |= 1 << v
+    cells = [cell for cell in of_degree if cell]
     lab = _Labeler(g)
-    lab.search(cells, masks, masks[:-1], 0)  # degree classes split V
+    lab.search(cells, cells[:-1], 0)  # degree classes split V
     return lab.code, lab.order, list(lab.generators)
 
 
@@ -496,24 +499,34 @@ def _next_level(level, k, budget):
     all.  Each share lists its children in the order met, so merging the
     shares by parent index gives the order of one sequential pass, and
     keeping the first child per code keeps the representative and the
-    insertion order that pass keeps."""
+    insertion order that pass keeps.
+
+    Returns (level, hits): `hits` are the new level's representatives that
+    have every witness, in ascending canonical code, as the shares flagged
+    them.  Saturation is invariant under isomorphism, so the flag of the
+    child that wins the merge is the flag of every child of its class."""
     parents = list(level.values())
     shares = _shares(parents, k, _participants(len(parents)), budget)
-    out = {}
-    for i, code, u, v, generators in heapq.merge(*shares, key=itemgetter(0)):
+    out, saturated = {}, []
+    for i, code, u, v, generators, hit in heapq.merge(*shares, key=itemgetter(0)):
         if code not in out:
             out[code] = (parents[i][0].with_edge(u, v), generators)
-    return out
+            if hit:
+                saturated.append(code)
+    return out, [out[code][0] for code in sorted(saturated)]
 
 
 def _expand(parents, k, start, step, budget):
     """One participant's share of a level, as (ticks, share, None), or as
     (ticks, None, message) if `budget` ran out; `ticks` counts the non-edges
     tried.  The share lists the children of `parents[start::step]` (see
-    `_next_level`) as (parent index, code, u, v, packed generators) for the
-    first child G+uv met in each class, in the order met: ints and bytes,
-    which a worker sends as they are, and no graph, which a child that loses
-    the merge would hold in memory for nothing."""
+    `_next_level`) as (parent index, code, u, v, packed generators, hit) for
+    the first child G+uv met in each class, in the order met: ints, bytes and
+    a bool, which a worker sends as they are, and no graph, which a child
+    that loses the merge would hold in memory for nothing.  `hit` says
+    whether the child has every witness, tested only once it has n - 1
+    edges: a C_k-saturated graph is connected, since an edge between two
+    components would close no cycle."""
     spent = budget.spent
     found, seen = [], set()
     try:
@@ -530,7 +543,11 @@ def _expand(parents, k, start, step, budget):
                 code, _, child_generators = canonical_form(child)
                 if code not in seen:
                     seen.add(code)
-                    found.append((i, code, u, v, b"".join(child_generators)))
+                    # level graphs are C_k-free by construction: only the
+                    # witnesses are left to test
+                    hit = (child.edge_count >= child.n - 1
+                           and kernels.witness_scan(child.adj, k))
+                    found.append((i, code, u, v, b"".join(child_generators), hit))
     except BudgetExhausted as exc:
         return budget.spent - spent, None, str(exc)
     return budget.spent - spent, found, None
@@ -651,6 +668,8 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
 
     Runs the levelwise enumeration until the first edge count that admits a
     saturated graph, finishing that level so the class list is complete.
+    The witness scans run in the shares of `_next_level`, and its hits, in
+    canonical-code order, are the answer; K_1 is the initial level's.
     That level always comes, unless the budget runs out first: a level with
     no saturated graph holds C_k-free graphs that are not saturated, so each
     has a non-edge that closes no k-cycle, and `_next_level`, being
@@ -665,28 +684,20 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     empty = Graph(n, [0] * n)
     code, _, generators = canonical_form(empty)
     level = {code: (empty, b"".join(generators))}
+    hits = [empty] if n == 1 else []  # K_1 has n - 1 edges and no non-edge
     result.level_sizes[0] = 1
     m = 0
     try:
-        while True:
-            # a C_k-saturated graph is connected, since an edge between two
-            # components would close no cycle, so it has at least n-1 edges
-            if m >= n - 1:
-                # level graphs are C_k-free by construction: only the
-                # witnesses are left to test
-                hits = [g for _, (g, _) in sorted(level.items())
-                        if kernels.witness_scan(g.adj, k)]
-                if hits:
-                    result.min_edges = m
-                    result.graphs = [canonical_graph(g) for g in hits]
-                    break
+        while not hits:
             m += 1
-            level = _next_level(level, k, budget)
+            level, hits = _next_level(level, k, budget)
             if not level:
                 # every later level would be empty too, and with no node to
                 # tick no budget would end the loop
                 raise EmptyLevelError(f"level m = {m} is empty: classes were lost")
             result.level_sizes[m] = len(level)
+        result.min_edges = m
+        result.graphs = [canonical_graph(g) for g in hits]
     except BudgetExhausted:
         result.status = "budget-exhausted"
     result.nodes = budget.spent

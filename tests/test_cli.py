@@ -169,7 +169,7 @@ class TestSearch:
 
     def test_empty_level_is_not_a_usage_error(self, tmp_path, capsys, monkeypatch):
         # an internal error leaves main as a traceback (exit 1), not exit 2
-        monkeypatch.setattr("satforge.search._next_level", lambda level, k, budget: {})
+        monkeypatch.setattr("satforge.search._next_level", lambda level, k, budget: ({}, []))
         with pytest.raises(EmptyLevelError, match="m = 1"):
             main(["search", "--n", "9", "--out", str(tmp_path), "--budget-secs", "5"])
         assert capsys.readouterr() == ("", "")

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import itertools
 import os
 import random
@@ -9,7 +11,7 @@ import networkx as nx
 import pytest
 
 from satforge import kernels, search
-from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6
+from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6, vertex_list
 from satforge.search import (
     BudgetExhausted,
     EmptyLevelError,
@@ -32,6 +34,12 @@ from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
 # canonical graph6 of the five sat(9, C_6) classes, in canonical-code order,
 # and of symmetric inputs; any change to the labeling moves them
 SAT_9_6 = ["HQ`?WWr", "H_?@|`L", "H_hP?cN", "H`?LASV", "Ho?Aowf"]
+
+# sha256 of `canonical_form`'s whole output over `canon_corpus()` (see
+# `canon_digest`), computed with the labeler that kept each cell as a list of
+# vertices; any change to a code, an ordering, a generator or the order the
+# generators are met in moves it
+CANON_DIGEST = "e1473be2c2b4b509dba99c167746036a57f8dc381e79208e18969269ab94f801"
 
 
 def _petersen():
@@ -98,30 +106,70 @@ def brute_isomorphic(a, b):
     return False
 
 
-def refine_by_count_tuples(adj, cells, masks, splitters):
-    """`search._refine` with each vertex's counts kept as a tuple."""
+def refine_by_count_tuples(adj, cells, splitters):
+    """`search._refine` with each vertex's counts kept as a tuple, every
+    cell split member by member, one-vertex splitters too."""
     while splitters:
         created = []
         splits = []
         for i, cell in enumerate(cells):
-            if len(cell) == 1:
-                continue
             groups = {}
-            for v in cell:
+            for v in vertex_list(cell):
                 sig = tuple((adj[v] & m).bit_count() for m in splitters)
-                groups.setdefault(sig, []).append(v)
+                groups[sig] = groups.get(sig, 0) | 1 << v
             if len(groups) == 1:
                 continue
             parts = [groups[sig] for sig in sorted(groups, reverse=True)]
-            part_masks = [sum(1 << v for v in part) for part in parts]
-            created.extend(part_masks[:-1])
-            splits.append((i, parts, part_masks))
+            created.extend(parts[:-1])
+            splits.append((i, parts))
         if not splits:
             break
-        for i, parts, part_masks in reversed(splits):
+        for i, parts in reversed(splits):
             cells[i:i + 1] = parts
-            masks[i:i + 1] = part_masks
         splitters = created
+
+
+def labeled_by_the_n9_search():
+    """Every graph the n = 9, C_6 search labels, in the order it labels
+    them, with one participant."""
+    graphs = []
+    label = search.canonical_form
+
+    def recorded(g):
+        graphs.append(g)
+        return label(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_cpu_count", lambda: 1)
+        mp.setattr(search, "canonical_form", recorded)
+        search.enumerate_saturated(9, 6)
+    return graphs
+
+
+@functools.cache
+def canon_corpus():
+    """2,000 seeded random graphs, n = 1..16 in turn with edge densities
+    0.05-0.95, then `SYMMETRIC`, then every graph the n = 9 search labels
+    (built once per test session)."""
+    rng = random.Random(0xCA70)
+    graphs = []
+    for i in range(2000):
+        n = 1 + i % 16
+        p = rng.uniform(0.05, 0.95)
+        pairs = itertools.combinations(range(n), 2)
+        graphs.append(Graph.from_edges(n, [e for e in pairs if rng.random() < p]))
+    graphs += [make() for make, _ in SYMMETRIC.values()]
+    return tuple(graphs + labeled_by_the_n9_search())
+
+
+def canon_digest(graphs):
+    """One sha256 over `canonical_form`'s whole output on every graph: the
+    code, the ordering and the generators in the order met."""
+    h = hashlib.sha256()
+    for g in graphs:
+        code, ordering, generators = canonical_form(g)
+        h.update(f"{code} {bytes(ordering).hex()} {b''.join(generators).hex()}\n".encode())
+    return h.hexdigest()
 
 
 def canonical_key(g):
@@ -235,6 +283,43 @@ class TestCanonical:
         monkeypatch.setattr("satforge.search._refine", refine_by_count_tuples)
         assert [canonical_form(g) for g in graphs] == packed
 
+    def test_pinned_canonical_forms(self):
+        assert canon_digest(canon_corpus()) == CANON_DIGEST
+
+    def test_twin_cell_leaves_the_partition_equitable(self, monkeypatch):
+        # the labeler does not refine after individualizing a twin cell: on
+        # the corpus, neither the new singletons nor all the cells as
+        # splitters split any cell of the partition it then holds
+        partitions = []  # the cells of every labeler node being searched
+        sizes = []
+        search_node, twins = _Labeler.search, _Labeler.twins
+
+        def tracked(self, cells, splitters, prefix):
+            partitions.append(cells)
+            try:
+                search_node(self, cells, splitters, prefix)
+            finally:
+                partitions.pop()
+
+        def checked(self, members):
+            cells = list(partitions[-1])
+            at = cells.index(sum(1 << v for v in members))
+            singletons = [1 << v for v in members]
+            cells[at:at + 1] = singletons
+            for splitters in (singletons, list(cells)):
+                refined = list(cells)
+                search._refine(self.adj, refined, splitters)
+                assert refined == cells, (self.adj, members)
+            sizes.append(len(members))
+            twins(self, members)
+
+        monkeypatch.setattr(_Labeler, "search", tracked)
+        monkeypatch.setattr(_Labeler, "twins", checked)
+        for g in canon_corpus():
+            canonical_form(g)
+        # 9,336 of them in the n = 9 search alone
+        assert len(sizes) > 9336 and max(sizes) == 12
+
     def test_automorphism_pruning_keeps_code_and_ordering(self, rng, monkeypatch):
         from tests.conftest import random_connected_graph
 
@@ -340,7 +425,7 @@ class TestEnumeration:
 
     def test_empty_level_raises_at_once(self, monkeypatch):
         # a level that lost every class: neither budget would end the loop
-        monkeypatch.setattr(search, "_next_level", lambda level, k, budget: {})
+        monkeypatch.setattr(search, "_next_level", lambda level, k, budget: ({}, []))
         with pytest.raises(EmptyLevelError, match="m = 1"):
             enumerate_saturated(9, 6, budget_nodes=10**6, budget_secs=5)
 
@@ -421,7 +506,7 @@ def level_at(n, k, m):
     code, _, generators = canonical_form(empty)
     level = {code: (empty, b"".join(generators))}
     for _ in range(m):
-        level = _next_level(level, k, _Budget(None, None))
+        level, _ = _next_level(level, k, _Budget(None, None))
     return level
 
 
@@ -456,7 +541,7 @@ class TestParallelLevels:
         outs = []
         for p in (1, 2, 3):
             forks = participants(p)
-            out = _next_level(level, 6, _Budget(None, None))
+            out, _ = _next_level(level, 6, _Budget(None, None))
             assert len(forks) == p - 1
             outs.append([(code, g.adj, g.edge_count, gens)
                          for code, (g, gens) in out.items()])
@@ -545,6 +630,35 @@ class TestParallelLevels:
         assert search._participants(10**6) == 4
 
 
+class TestLevelScans:
+    @pytest.mark.parametrize("n, k", [(7, 6), (8, 5), (9, 6), (9, 4)])
+    def test_hits_match_a_serial_scan(self, n, k, participants, monkeypatch):
+        # every level up to the first with hits, split from 10 parents on,
+        # so that the small levels of n = 7 and 8 are shared too
+        monkeypatch.setattr(search, "MIN_SHARE", 5)
+        for p in (1, 2, 3):
+            forks = participants(p)
+            level, hits = level_at(n, k, 0), []
+            while not hits:
+                level, hits = _next_level(level, k, _Budget(None, None))
+                assert hits == [g for _, (g, _) in sorted(level.items())
+                                if kernels.witness_scan(g.adj, k)]
+            assert bool(forks) == (p > 1), p
+            assert_no_children()
+            res = enumerate_saturated(n, k)
+            assert hits[0].edge_count == res.min_edges
+            assert [canonical_graph(g) for g in hits] == res.graphs
+
+    def test_k2_is_a_hit_and_k1_needs_no_level(self, monkeypatch):
+        # sat(2, C_6) = 1 from the first level's scan; sat(1, C_6) = 0 from
+        # the initial level, with no `_next_level` call
+        level, hits = _next_level(level_at(2, 6, 0), 6, _Budget(None, None))
+        assert hits == [complete_graph(2)] and len(level) == 1
+        monkeypatch.setattr(search, "_next_level", None)
+        res = enumerate_saturated(1, 6)
+        assert (res.min_edges, res.graphs) == (0, [Graph(1, [0])])
+
+
 def label_every_leader(level, k):
     """One augmentation level without the degree-sum or edge-key prefilter:
     every orbit leader among all the non-edges that closes no k-cycle is
@@ -621,7 +735,7 @@ class TestDegreeSumPrefilter:
             m = 0
             while ref:
                 m += 1
-                ours = _next_level(ours, k, _Budget(None, None))
+                ours, _ = _next_level(ours, k, _Budget(None, None))
                 ref = label_every_leader(ref, k)
                 assert set(ours) == set(ref), (k, m)
 
