@@ -20,25 +20,13 @@ from .construction import (
     lower_bound_edges,
     upper_bound_edges,
 )
-from .discharging import STAGE1_NAMES, STAGE2_NAMES, audit as run_audit, render_stage_table
 from .graph import Graph6Error, GraphError, read_graph6_file, to_graph6
 from .saturation import PreconditionError, check_saturated
-from .search import (
-    RESULTS_DIR,
-    SearchError,
-    check_search_args,
-    enumerate_saturated,
-    result_path,
-    save_result,
-    summary_table,
-)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-ALL_STAGES = STAGE1_NAMES + STAGE2_NAMES
 
 
 class InputError(ValueError):
@@ -80,7 +68,7 @@ def build_parser():
     c = sub.add_parser("search", help="exhaustive minimum-saturation search")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, default=6)
-    c.add_argument("--out", type=Path, default=RESULTS_DIR, help="result directory")
+    c.add_argument("--out", type=Path, default=None, help="result directory")
     c.add_argument("--budget-nodes", type=int, default=None)
     c.add_argument("--budget-secs", type=float, default=None)
 
@@ -134,15 +122,19 @@ def cmd_check(args):
 
 
 def cmd_search(args):
+    from .search import (RESULTS_DIR, check_search_args, enumerate_saturated,
+                         save_result, summary_table)
+
+    out = RESULTS_DIR if args.out is None else args.out
     # bad arguments leave no directory behind, and an --out that cannot be
     # a directory fails here, not after the search
     check_search_args(args.n, args.k, args.budget_nodes, args.budget_secs)
-    args.out.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     res = enumerate_saturated(args.n, args.k,
                               budget_nodes=args.budget_nodes,
                               budget_secs=args.budget_secs)
     if res.graphs:
-        print(f"wrote {save_result(res, args.out)}")
+        print(f"wrote {save_result(res, out)}")
     print(summary_table([res]))
     if res.status == "budget-exhausted":
         return EXIT_BUDGET
@@ -151,17 +143,19 @@ def cmd_search(args):
 
 
 def cmd_audit(args):
+    from .discharging import STAGE1_NAMES, STAGE2_NAMES, audit, render_stage_table
+
     graphs = _read_graphs(args.file)
     stages = None
     if args.dump_stages:
         stages = [s.strip() for s in args.dump_stages.split(",") if s.strip()]
-        bad = [s for s in stages if s not in ALL_STAGES]
+        bad = [s for s in stages if s not in STAGE1_NAMES + STAGE2_NAMES]
         if bad:
             raise InputError(f"unknown stages {bad}")
     all_ok = True
     for i, g in enumerate(graphs):
         try:
-            a = run_audit(g)
+            a = audit(g)
         except GraphError as exc:
             print(f"graph {i}: audit error: {exc}")
             all_ok = False
@@ -183,6 +177,8 @@ def cmd_audit(args):
 
 
 def cmd_table(args):
+    from .search import result_path
+
     print(f"{'n':>4} {'lower':>6} {'upper':>6} {'edges':>6} {'sat':>5}")
     for n in args.n_range:
         try:
@@ -201,6 +197,16 @@ def cmd_table(args):
                 exact = str(graphs[0].edge_count)
         print(f"{n:>4} {lower_bound_edges(n):>6} {upper!s:>6} {edges:>6} {exact:>5}")
     return EXIT_OK
+
+
+def _usage_errors():
+    """The typed input errors that `main` reports with exit 2. An except
+    clause evaluates this only once an exception reaches it, so `search`
+    is imported on that path alone."""
+    from .search import SearchError
+
+    return (InputError, Graph6Error, ConstructionError, SearchError,
+            PreconditionError, OSError)
 
 
 def main(argv=None):
@@ -226,8 +232,7 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (InputError, Graph6Error, ConstructionError, SearchError,
-            PreconditionError, OSError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

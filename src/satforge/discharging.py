@@ -318,6 +318,12 @@ def _sixths(c, b):
     return 6 * c.numerator - b * c.denominator
 
 
+def _below(c, s):
+    """c < s for rationals (Fractions or ints), compared as the integers
+    c.numerator * s.denominator and s.numerator * c.denominator."""
+    return c.numerator * s.denominator < s.numerator * c.denominator
+
+
 def _c1_exclusions(ledger, u):
     """Same-level 1/6-receivers skipped by a degree-3 sender in the deepest
     level whose single down-neighbor is negative."""
@@ -538,7 +544,9 @@ def _stage2_step4(ledger, f3):
     level3 = ledger.level_set(3)
     needy = {y: [z for z in ledger.nbrs_at(y, 4) if f3[z].numerator < 0]
              for y in level3}
-    snap_s = {y: exact_sum([-f3[z] for z in zs]) for y, zs in needy.items()}
+    # with no needy neighbor the sum is the int 0, and no Fraction is built
+    snap_s = {y: exact_sum([-f3[z] for z in zs]) if zs else 0
+              for y, zs in needy.items()}
     funded = set()
     transfers = []
     for y in level3:
@@ -548,11 +556,11 @@ def _stage2_step4(ledger, f3):
         else:
             ledger.flag(f"stage-two step 4: {y} found already-funded neighbors")
             s = exact_sum([-f3[z] for z in live])
-        if f3[y] < s:
+        if _below(f3[y], s):
             continue
         transfers += [(y, z, -f3[z]) for z in live]
         funded.update(live)
-        gifts = [y1 for y1 in ledger.nbrs_at(y, 3) if f3[y1] < snap_s[y1]]
+        gifts = [y1 for y1 in ledger.nbrs_at(y, 3) if _below(f3[y1], snap_s[y1])]
         if gifts and _sixths(f3[y] - s, len(gifts)) >= 0:
             transfers += [(y, y1, SIXTH) for y1 in gifts]
     return _apply(f3, transfers)

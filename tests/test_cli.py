@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import satforge
-from satforge import cli
 from satforge.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -14,6 +13,7 @@ from satforge.cli import (
     EXIT_VERDICT,
     main,
 )
+from satforge.construction import build_construction
 from satforge.discharging import DischargeAudit
 from satforge.graph import read_graph6_file, to_graph6, write_graph6_file
 from satforge.search import EmptyLevelError
@@ -140,7 +140,7 @@ class TestSearch:
         def no_search(*args, **kwargs):
             raise AssertionError("searched before checking --out")
 
-        monkeypatch.setattr("satforge.cli.enumerate_saturated", no_search)
+        monkeypatch.setattr("satforge.search.enumerate_saturated", no_search)
         path = tmp_path / "taken"
         path.write_text("")
         usage_error(capsys, "search", "--n", "5", "--out", str(path))
@@ -242,7 +242,7 @@ class TestAudit:
     def stub_audit(self, tmp_path, capsys, monkeypatch, **fields):
         path = tmp_path / "g.g6"
         run(capsys, "construct", "--n", "9", "--out", str(path))
-        monkeypatch.setattr(cli, "run_audit",
+        monkeypatch.setattr("satforge.discharging.audit",
                             lambda g: DischargeAudit("full", 9, 12, True, **fields))
         return path
 
@@ -278,8 +278,6 @@ class TestTable:
         assert lines[4].split() == ["12", "14", "16", "16", "-"]
 
     def test_exact_column_from_corpus(self, tmp_path, capsys):
-        from satforge.construction import build_construction
-
         (tmp_path / "search-results").mkdir()
         write_graph6_file(tmp_path / "search-results" / "sat_9_6.g6",
                           [build_construction(9)[0]])
@@ -361,3 +359,26 @@ class TestDeterminism:
         run(capsys, "construct", "--n", "15", "--out", str(a))
         run(capsys, "construct", "--n", "15", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# a fresh interpreter runs one command, then prints its exit code and which
+# of the two lazily imported modules it loaded, on stderr
+LOADED = ("import sys; from satforge.cli import main; code = main(sys.argv[1:]); "
+          "sys.stdout.flush(); print(code, sorted({'satforge.discharging', "
+          "'satforge.search'} & set(sys.modules)), file=sys.stderr)")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["construct", "--n", "9"], []),
+    (["check", "{g9}"], []),
+    (["audit", "{g9}"], ["satforge.discharging"]),
+    (["search", "--n", "5", "--k", "3", "--out", "{tmp}"], ["satforge.search"]),
+])
+def test_command_loads_only_what_it_uses(tmp_path, argv, loaded):
+    g9 = tmp_path / "g9.g6"
+    write_graph6_file(g9, [build_construction(9)[0]])
+    argv = [a.format(g9=g9, tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(satforge.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stderr.splitlines()[-1] == f"{EXIT_OK} {loaded}"

@@ -461,3 +461,27 @@ def test_import_pulls_in_no_numeric_stack():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_import_leaves_audit_and_search_unloaded():
+    src = str(Path(satforge.__file__).resolve().parents[1])
+    prelude = f"import sys; sys.path.insert(0, {src!r}); "
+    lazy = {"satforge.discharging", "satforge.search", "fractions", "heapq"}
+    code = prelude + ("import satforge, satforge.cli; "
+                      f"print(sorted({lazy!r} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    # in a second interpreter, every public name still resolves
+    code = prelude + (
+        "from satforge import *; import satforge; "
+        "assert all(n in globals() for n in satforge.__all__); "
+        "assert set(satforge.__all__) <= set(dir(satforge)); "
+        "assert satforge.audit is satforge.discharging.audit; "
+        "assert satforge.enumerate_saturated is satforge.search.enumerate_saturated; "
+        "satforge.no_such_name")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "AttributeError: module 'satforge' has no attribute 'no_such_name'")
