@@ -153,8 +153,10 @@ class Graph:
 
     def delete_vertices(self, doomed):
         """Induced subgraph on the complement of `doomed`, vertices renumbered
-        in ascending order of surviving ids."""
+        in ascending order of surviving ids; each id must be in 0..n-1."""
         doomed = set(doomed)
+        if not doomed.issubset(range(self.n)):
+            raise GraphError(f"deleted vertices outside 0..{self.n - 1}")
         keep = [v for v in range(self.n) if v not in doomed]
         if not keep:
             raise GraphError("cannot delete every vertex")
@@ -164,7 +166,9 @@ class Graph:
         return Graph.from_edges(len(keep), edges)
 
     def relabel(self, perm):
-        """New graph with vertex v renamed perm[v]."""
+        """New graph with vertex v renamed perm[v]; `perm` permutes 0..n-1."""
+        if len(perm) != self.n or set(perm) != set(range(self.n)):
+            raise GraphError(f"relabel needs a permutation of 0..{self.n - 1}")
         edges = [(perm[u], perm[v]) for u, v in self.edges()]
         return Graph.from_edges(self.n, edges)
 
@@ -215,6 +219,8 @@ class CyclePath(_CyclePathFields):
 
     def validate(self, g: Graph):
         vs = self.vertices
+        if self.kind == "cycle" and len(vs) < 3:
+            raise GraphError(f"a cycle needs 3 vertices, not {len(vs)}")
         for a, b in zip(vs, vs[1:]):
             if not g.has_edge(a, b):
                 raise GraphError(f"missing edge {a}-{b}")

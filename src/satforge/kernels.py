@@ -32,15 +32,15 @@ over the vertices x of U[j]. From an inner vertex w with j edges still to
 go, the rest of a path into T is a walk of j edges into T through allowed
 vertices, so w is in U[j]. The walk enters w only when w is in U[j]: it cuts
 no answer and meets the answers in the same order, for one target or many,
-and for cycles alike. The walk recurses while more than four edges are to
-go, and takes the last four in one call: a loop over the candidates in
-U[3], inside it a loop over each one's candidates in U[2], and inside that
-a loop over theirs in U[1], where the targets adjacent to the candidate and
-off the path are taken at once. A walk of three or two edges runs the two
-inner loops or the innermost one alone, each in a body of its own: a call
-per candidate into a shared three-edge body cost as much as the recursion
-it replaced. Near the end of a walk a vertex has one or two candidates, so
-a call for each would cost more than the work it does.
+and for cycles alike. The walk takes its last four edges in one call: a
+loop over the candidates in U[3], inside it a loop over each one's
+candidates in U[2], and inside that a loop over theirs in U[1], where the
+targets adjacent to the candidate and off the path are taken at once; near
+the end of a walk a vertex has one or two candidates, so a call for each
+would cost more than the work it does. Any other length recurses, an edge a
+call, down to a one-edge base. A C_6 query walks five edges: one recursion
+step, then the four-edge body. Only a walk of one to three edges, for
+k <= 4, reaches the base.
 
 Any superset of U[j] in its place still cuts no answer and keeps the order,
 since the walk then enters every vertex it entered before and finds the
@@ -75,7 +75,7 @@ def _neighborhood(adj, mask):
 
 
 def _masks(adj, u, length, targets, banned):
-    """U[0..length-1] for a walk of `length` >= 2 edges from u into the mask
+    """U[0..length-1] for a walk of `length` >= 1 edges from u into the mask
     `targets` (see the module docstring)."""
     allowed = ~(banned | 1 << u)
     if targets & (targets - 1):  # several targets: U[1] only
@@ -98,14 +98,19 @@ def _record(out, prefix, ends):
 
 
 def _walk(adj, masks, visited, path, left, remaining, out):
-    """Extend `path` (its vertices are `visited`) by `left` >= 2 edges into the
+    """Extend `path` (its vertices are `visited`) by `left` >= 1 edges into the
     target mask `remaining`, recording in `out` (when not None) the first path
     met to each target. Returns the targets still unreached.
 
-    Above four edges to go it recurses; the last four (or three or two, for
-    a shorter walk) are taken here in loops over candidate masks."""
+    The last four edges are taken in one body of nested loops; any other
+    `left` recurses, down to a one-edge base."""
+    if left == 1:
+        hit = adj[path[-1]] & remaining & ~visited
+        if out is not None:
+            _record(out, path, hit)
+        return remaining ^ hit
     cand = adj[path[-1]] & masks[left - 1] & ~visited
-    if left > 4:
+    if left != 4:
         while cand:
             low = cand & -cand
             cand ^= low
@@ -115,48 +120,7 @@ def _walk(adj, masks, visited, path, left, remaining, out):
             if not remaining:
                 return 0
         return remaining
-    if left == 2:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            hit = adj[w] & remaining & ~visited
-            if hit:
-                if out is not None:
-                    if hit & (hit - 1):
-                        _record(out, (*path, w), hit)
-                    else:
-                        v = hit.bit_length() - 1
-                        out[v] = (*path, w, v)
-                remaining ^= hit
-                if not remaining:
-                    return 0
-        return remaining
-    u1 = masks[1]
-    if left == 3:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            free = ~(visited | low)
-            cand2 = adj[w] & u1 & free
-            while cand2:
-                low2 = cand2 & -cand2
-                cand2 ^= low2
-                x = low2.bit_length() - 1
-                hit = adj[x] & remaining & free
-                if hit:
-                    if out is not None:
-                        if hit & (hit - 1):
-                            _record(out, (*path, w, x), hit)
-                        else:
-                            v = hit.bit_length() - 1
-                            out[v] = (*path, w, x, v)
-                    remaining ^= hit
-                    if not remaining:
-                        return 0
-        return remaining
-    u2 = masks[2]
+    u1, u2 = masks[1], masks[2]
     while cand:
         low = cand & -cand
         cand ^= low
@@ -194,13 +158,10 @@ def least_paths(adj, u, length, targets, banned=0, out=None) -> int:
     when `out` (a dict, or a list of n slots) is given; in a list, only the
     slots of found targets are written, so a caller reads the paths at the
     targets not in the returned mask. Returns the mask of targets with no
-    such path; u itself is never reached."""
+    such path; u itself is never reached. A walk of four or more edges ends
+    in :func:`_walk`'s four-edge body, a shorter one in its one-edge base."""
     if not targets or not 0 < length < len(adj):
         return targets
-    if length == 1:
-        if out is not None:
-            _record(out, (u,), adj[u] & targets)
-        return targets & ~adj[u]
     masks = _masks(adj, u, length, targets, banned)
     return _walk(adj, masks, 1 << u, [u], length, targets, out)
 
@@ -242,19 +203,16 @@ def witness_walks(adj, length, out=None):
 
     Each walk takes as U[1] the union of adj[v] over every v > u, a superset
     of the targets' own union that grows by one row a source (see the module
-    docstring)."""
+    docstring).  With no target, or `length` outside 2..n-1, where no walk
+    reaches a non-neighbour, a source runs no walk and misses every target."""
     n = len(adj)
     masks = [0, 0] + [-1] * (length - 2)  # u is in `visited`: no mask drops it
     above = 0  # the union of adj[v] over the sources v > u
     for u in range(n - 1, -1, -1):
-        targets = non_neighbors_above(adj, u)
-        if not targets:
-            missed = 0
-        elif 1 < length < n:
+        targets = missed = non_neighbors_above(adj, u)
+        if targets and 1 < length < n:
             masks[1] = above
             missed = _walk(adj, masks, 1 << u, [u], length, targets, out)
-        else:
-            missed = least_paths(adj, u, length, targets, 0, out)
         yield u, missed
         above |= adj[u]
 

@@ -100,6 +100,17 @@ class TestBasics:
         h = g.delete_vertices({0})
         assert h.n == 4 and h.edge_count == 3
 
+    @pytest.mark.parametrize("doomed", [[7], [-1], [0, 3]])
+    def test_delete_vertices_rejects_ids_outside_the_graph(self, doomed):
+        with pytest.raises(GraphError, match="outside 0..2"):
+            path_graph(3).delete_vertices(doomed)
+
+    @pytest.mark.parametrize("perm", [[0, 1, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [1, 2, 3]])
+    def test_relabel_rejects_a_non_permutation(self, perm):
+        # [0, 1, 1] would merge the edges 0-1 and 1-2 into one
+        with pytest.raises(GraphError, match="permutation of 0..2"):
+            path_graph(3).relabel(perm)
+
     def test_non_edges_complement(self):
         g = cycle_graph(5)
         assert len(g.non_edges()) + g.edge_count == 10
@@ -111,6 +122,15 @@ class TestCyclePath:
             CyclePath((0, 0), "path")
         with pytest.raises(GraphError):
             CyclePath((0, 1), "loop")
+
+    @pytest.mark.parametrize("vertices", [(), (0,), (0, 1)])
+    def test_validate_rejects_a_cycle_under_three_vertices(self, vertices):
+        # the edge 0-1 read as a "cycle" of length 2
+        g = path_graph(3)
+        with pytest.raises(GraphError, match="cycle needs 3 vertices"):
+            CyclePath(vertices, "cycle").validate(g)
+        assert CyclePath((0, 1, 2), "path").validate(g)
+        assert CyclePath((0, 1), "path").validate(g)
 
     def test_repr_and_tuple_behaviour(self):
         cyc = CyclePath((0, 1, 2), "cycle")

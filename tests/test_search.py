@@ -405,6 +405,21 @@ class TestEnumeration:
         assert sum(res.level_sizes.values()) == 20259
         assert [to_graph6(g) for g in res.graphs] == ["II?C@SMDW", "I_l@?cE@W"]
 
+    @pytest.mark.parametrize("n, k, sat, nodes, sizes, graphs", [
+        # k = 3, 4 and 5: witness walks of two, three and four edges
+        (10, 3, 9, 1802, [1, 1, 2, 4, 9, 19, 43, 94, 208, 419], ["I??????~w"]),
+        (9, 4, 11, 3966, [1, 1, 2, 5, 10, 22, 50, 103, 188, 278, 289, 197],
+         ["H@?GCD~", "H@?GDdN", "H@?K@dN", "H@?KAC~", "HoC?Iof", "Hq?G?C~"]),
+        (8, 5, 10, 1473, [1, 1, 2, 5, 11, 23, 53, 101, 165, 213, 188],
+         ["G?`HW{", "GCO_w{"]),
+    ])
+    def test_pinned_short_walk_searches(self, n, k, sat, nodes, sizes, graphs):
+        res = enumerate_saturated(n, k)
+        assert res.status == "complete" and res.min_edges == sat
+        assert res.nodes == nodes
+        assert res.level_sizes == dict(enumerate(sizes))
+        assert [to_graph6(g) for g in res.graphs] == graphs
+
     def test_budget_exhaustion(self):
         res = enumerate_saturated(9, 6, budget_nodes=40)
         assert res.status == "budget-exhausted"
