@@ -15,16 +15,19 @@ lexicographically least u-v path.
 - :func:`least_paths` is the one query: it records that first path for each
   target and stops once every target is reached. The rest run its walk.
   :func:`has_path` walks into the one target T = {v}.
-  :func:`witness_walks` walks from each u, from n - 1 down, with u's
-  non-neighbours above u as T; :func:`witness_scan` and
-  ``saturation.check_saturated`` read its walks.
+  :func:`witness_walks` walks from each u, from 0 up, with u's
+  non-neighbours above u as T, and ``saturation.check_saturated`` reads
+  its walks in that order; :func:`witness_scan` runs the same walks from
+  n - 1 down and stops at the first miss.
 - The walk never reaches u, so a path query with u == v finds nothing.
   Cycles go through :func:`least_cycle` alone, behind
   :func:`saturation_scan` and ``graph.contains_cycle``: a cycle of k edges
   through u is a path of k - 1 edges from u to a neighbor of u, closed by
   the edge back. It walks from each u into its neighbors above u, with the
   vertices below u banned: the least vertex of a k-cycle is such a u, and
-  its cycles use no vertex below it.
+  its cycles use no vertex below it. It walks each such cycle one way: it
+  enters each first vertex a itself, then walks on only into the targets
+  below a.
 
 Pruning. Call a vertex allowed when it may be inner: neither banned nor u.
 Let U[0] = T, and let U[j+1] be the allowed vertices of the union of adj[x]
@@ -38,9 +41,10 @@ candidates in U[2], and inside that a loop over theirs in U[1], where the
 targets adjacent to the candidate and off the path are taken at once; near
 the end of a walk a vertex has one or two candidates, so a call for each
 would cost more than the work it does. Any other length recurses, an edge a
-call, down to a one-edge base. A C_6 query walks five edges: one recursion
-step, then the four-edge body. Only a walk of one to three edges, for
-k <= 4, reaches the base.
+call, down to a one-edge base. A C_6 path query walks five edges: one
+recursion step, then the four-edge body; the C_6 cycle test enters the
+four-edge body straight from each path (u, a). Only a walk of one to three
+edges, for k <= 4, reaches the base.
 
 Any superset of U[j] in its place still cuts no answer and keeps the order,
 since the walk then enters every vertex it entered before and finds the
@@ -53,8 +57,9 @@ every later mask is the set of allowed vertices: U[2] and beyond hold
 nearly every allowed vertex, so building them cost more than they pruned.
 :func:`witness_walks` builds no mask from the targets. Its targets are
 vertices above u, so it takes as U[1] the union of adj[v] over every v > u,
-for one target or many: one row more each source as it walks from n - 1
-down, where the targets' own union costs a row for each target. Every later
+for one target or many: all of them from one suffix pass over the rows (one
+row more each source in :func:`witness_scan`, which walks down), where the
+targets' own union costs a row for each target. Every later
 mask holds every vertex: u and the path are in the visited mask, which
 every candidate test removes, and nothing is banned.
 """
@@ -89,12 +94,13 @@ def _masks(adj, u, length, targets, banned):
 
 
 def _record(out, prefix, ends):
-    """Store out[v] = prefix + (v,) for each vertex v of the mask `ends`."""
+    """Store out[v] = prefix + (v,) for each vertex v of the mask `ends`;
+    `prefix` is a tuple."""
     while ends:
         low = ends & -ends
         ends ^= low
         v = low.bit_length() - 1
-        out[v] = (*prefix, v)
+        out[v] = prefix + (v,)
 
 
 def _walk(adj, masks, visited, path, left, remaining, out):
@@ -106,8 +112,8 @@ def _walk(adj, masks, visited, path, left, remaining, out):
     `left` recurses, down to a one-edge base."""
     if left == 1:
         hit = adj[path[-1]] & remaining & ~visited
-        if out is not None:
-            _record(out, path, hit)
+        if hit and out is not None:
+            _record(out, tuple(path), hit)
         return remaining ^ hit
     cand = adj[path[-1]] & masks[left - 1] & ~visited
     if left != 4:
@@ -121,6 +127,7 @@ def _walk(adj, masks, visited, path, left, remaining, out):
                 return 0
         return remaining
     u1, u2 = masks[1], masks[2]
+    pre = ()  # tuple(path), built at the first path recorded
     while cand:
         low = cand & -cand
         cand ^= low
@@ -140,11 +147,12 @@ def _walk(adj, masks, visited, path, left, remaining, out):
                 hit = adj[y] & remaining & free2
                 if hit:
                     if out is not None:
+                        pre = pre or tuple(path)
                         if hit & (hit - 1):
-                            _record(out, (*path, w, x, y), hit)
+                            _record(out, pre + (w, x, y), hit)
                         else:
                             v = hit.bit_length() - 1
-                            out[v] = (*path, w, x, y, v)
+                            out[v] = pre + (w, x, y, v)
                     remaining ^= hit
                     if not remaining:
                         return 0
@@ -176,16 +184,40 @@ def least_cycle(adj, k):
     """A witness k-cycle as the vertex tuple (u, ..., v) of a path of k-1
     edges closed by the edge vu, or None.  u is the least vertex on any
     k-cycle, v the least neighbor of u above u that a walk from u reaches,
-    with the vertices below u banned, and the path the least u-v one."""
+    with the vertices below u banned, and the path the least u-v one.
+
+    Each cycle is walked one way.  For each u the masks are built once, for
+    the targets T = u's neighbors above u; then each first vertex a of T, in
+    ascending order, is walked into the targets below a that are below every
+    target found so far, and u is done once none is left.  This finds the
+    same cycle.  A cycle through its least vertex u leaves u by two
+    neighbors p < q, so the least target v reached is such a p.  Were a u-v
+    path to start at a vertex a below v, its reverse would reach the target
+    a below v: a contradiction.  So every u-v path starts above v, every
+    walk from a first vertex above v seeks v until it is found, and the
+    first a that reaches v records the least u-v path."""
     if k < 3:
         return None
     out = [None] * len(adj)
     for u in range(len(adj) - k + 1):
         above = adj[u] & -(2 << u)
         if above & (above - 1):  # a cycle leaves its least vertex upward twice
-            found = above & ~least_paths(adj, u, k - 1, above, (1 << u) - 1, out)
-            if found:
-                return out[(found & -found).bit_length() - 1]
+            masks = _masks(adj, u, k - 1, above, (1 << u) - 1)
+            sought, least = above, 0
+            firsts = above & (above - 1)  # the least target has none below it
+            while firsts and sought:
+                low = firsts & -firsts
+                firsts ^= low
+                targets = sought & (low - 1)
+                if targets:
+                    path = [u, low.bit_length() - 1]
+                    found = targets ^ _walk(adj, masks, 1 << u | low, path,
+                                            k - 2, targets, out)
+                    if found:
+                        least = found & -found
+                        sought &= least - 1
+            if least:
+                return out[least.bit_length() - 1]
     return None
 
 
@@ -195,36 +227,51 @@ def non_neighbors_above(adj, u) -> int:
 
 
 def witness_walks(adj, length, out=None):
-    """Walk from each source u, from n - 1 down to 0, into the mask
+    """Walk from each source u, from 0 up to n - 1, into the mask
     ``non_neighbors_above(adj, u)`` of targets, and yield ``(u, missed)``:
     the mask of targets that ``least_paths(adj, u, length, targets, 0,
     out)`` misses, with the same paths stored in `out`.  A caller reads u's
     paths before it asks for the next source, which may overwrite them.
 
     Each walk takes as U[1] the union of adj[v] over every v > u, a superset
-    of the targets' own union that grows by one row a source (see the module
-    docstring).  With no target, or `length` outside 2..n-1, where no walk
-    reaches a non-neighbour, a source runs no walk and misses every target."""
+    of the targets' own union, all of them from one suffix pass (see the
+    module docstring).  With no target, or `length` outside 2..n-1, where no
+    walk reaches a non-neighbour, a source runs no walk and misses every
+    target."""
     n = len(adj)
     masks = [0, 0] + [-1] * (length - 2)  # u is in `visited`: no mask drops it
-    above = 0  # the union of adj[v] over the sources v > u
-    for u in range(n - 1, -1, -1):
+    above = [0] * n  # above[u]: the union of adj[v] over the sources v > u
+    for u in range(n - 1, 0, -1):
+        above[u - 1] = above[u] | adj[u]
+    for u in range(n):
         targets = missed = non_neighbors_above(adj, u)
         if targets and 1 < length < n:
-            masks[1] = above
+            masks[1] = above[u]
             missed = _walk(adj, masks, 1 << u, [u], length, targets, out)
         yield u, missed
-        above |= adj[u]
 
 
 def witness_scan(adj, k) -> bool:
     """True iff every non-edge uv is joined by a path of k-1 edges, so that
-    adding it closes a k-cycle: no source of :func:`witness_walks` misses a
-    target.  It stops at the first miss.  It does not test C_k-freeness: on
-    a C_k-free graph, True means C_k-saturated."""
-    for _, missed in witness_walks(adj, k - 1):
-        if missed:
-            return False
+    adding it closes a k-cycle.  It does not test C_k-freeness: on a
+    C_k-free graph, True means C_k-saturated.
+
+    It runs the walks of :func:`witness_walks`, storing no path, but from
+    source n - 1 down, and stops at the first miss.  A graph that is not
+    saturated mostly misses at several sources, and a miss walks every path
+    the masks let through: near n - 1, where U[1] unites a few rows, that
+    costs far less than at source 0, where it unites nearly all of them."""
+    n, length = len(adj), k - 1
+    masks = [0, 0] + [-1] * (length - 2)
+    above = 0  # the union of adj[v] over the sources v > u
+    for u in range(n - 1, -1, -1):
+        targets = non_neighbors_above(adj, u)
+        if targets:
+            masks[1] = above
+            if not 1 < length < n or _walk(adj, masks, 1 << u, [u], length,
+                                           targets, None):
+                return False
+        above |= adj[u]
     return True
 
 

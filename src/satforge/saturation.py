@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 
 from . import kernels
 from .graph import MAX_VERTICES, Graph, CyclePath, GraphError, contains_cycle
@@ -42,9 +42,10 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
 
     The witness for non-edge (u,v) is the lexicographically least
     (k-1)-path from u to v, stored as the cycle it closes. The sources of
-    `kernels.witness_walks` come from n - 1 down, one walk each for the
-    witnesses of all its non-edges (u, v > u); the report keeps them in
-    ascending (u, v) order, keyed by tuples shared by every report.
+    `kernels.witness_walks` come in ascending order, one walk each for the
+    witnesses of all its non-edges (u, v > u), so the report takes them in
+    ascending (u, v) order as they come, keyed by tuples shared by every
+    report; the missing pair is the first one missed.
     """
     if k < 3:
         raise PreconditionError("cycle length must be at least 3")
@@ -57,14 +58,13 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
     # a walk sets the slots of the targets v it reaches: read in slot order,
     # they give u's witnesses by ascending v; cleared after each source
     paths = blank[:]
-    found = []  # each source's (key, witness) pairs, from the last source down
+    witnesses = {}
     for u, missed in kernels.witness_walks(g.adj, k - 1, paths):
-        if missed:  # the last source to miss is the least one
+        if missed and missing is None:
             missing = (u, (missed & -missed).bit_length() - 1)
-        found.append(list(zip(compress(_PAIRS[u], paths),
-                              map(trusted, zip(filter(None, paths), repeat("cycle"))))))
+        witnesses.update(zip(compress(_PAIRS[u], paths),
+                             map(trusted, zip(filter(None, paths), repeat("cycle")))))
         paths[:] = blank
-    witnesses = dict(chain.from_iterable(reversed(found)))
     if missing is not None:
         return SaturationReport(k, None, witnesses, "missing-witness", missing)
     return SaturationReport(k, None, witnesses, "saturated")

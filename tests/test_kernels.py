@@ -273,7 +273,7 @@ def check_entry(adj, length):
     masks against _masks; returns the sources' target counts."""
     n = len(adj)
     met = entry_walks(adj, length)
-    assert [u for u, *_ in met] == list(range(n - 1, -1, -1))
+    assert [u for u, *_ in met] == list(range(n))
     for u, targets, missed, paths, first in met:
         want = {}
         assert kernels.least_paths(adj, u, length, targets, 0, want) == missed
@@ -305,13 +305,46 @@ def test_witness_walks_edge_cases():
     # K_1: one source, no target; its walks never start
     assert entry_walks([0], 2) == [(0, 0, 0, {}, None)]
     # two isolated vertices: source 0 has the one target 1 and no path to it
-    assert entry_walks([0, 0], 2) == [(1, 0, 0, {}, None), (0, 2, 2, {}, None)]
+    assert entry_walks([0, 0], 2) == [(0, 2, 2, {}, None), (1, 0, 0, {}, None)]
     # the path 0-1-2: the non-edge 0-2 by the walk of two edges, and no walk
     # of three edges fits in three vertices
     adj = path_graph(3).adj
-    assert entry_walks(adj, 2) == [(2, 0, 0, {}, None), (1, 0, 0, {}, None),
-                                   (0, 4, 0, {2: (0, 1, 2)}, adj[1] | adj[2])]
-    assert [m for _, _, m, _, _ in entry_walks(adj, 3)] == [0, 0, 4]
+    assert entry_walks(adj, 2) == [(0, 4, 0, {2: (0, 1, 2)}, adj[1] | adj[2]),
+                                   (1, 0, 0, {}, None), (2, 0, 0, {}, None)]
+    assert [m for _, _, m, _, _ in entry_walks(adj, 3)] == [4, 0, 0]
+
+
+def test_witness_scan_walks_down_to_the_first_miss():
+    # the scan agrees with witness_walks, but walks its sources from n - 1
+    # down and stops at the first one that misses a target
+    graphs = [g for g, _ in GRAPHS] + [build_construction(n)[0] for n in range(9, 31)]
+    graphs += [Graph(1, [0]), Graph(2, [0, 0]), path_graph(3)]
+    walked = []
+    walk = kernels._walk
+
+    def spy(adj, masks, visited, path, *rest):
+        if len(path) == 1:
+            walked.append(path[0])
+        return walk(adj, masks, visited, path, *rest)
+
+    verdicts = set()
+    for g in graphs:
+        for k in range(3, 9):
+            met = list(kernels.witness_walks(g.adj, k - 1))
+            want = []
+            if 1 < k - 1 < g.n:
+                for u, missed in reversed(met):
+                    if kernels.non_neighbors_above(g.adj, u):
+                        want.append(u)
+                    if missed:
+                        break
+            walked.clear()
+            with mock.patch.object(kernels, "_walk", spy):
+                saturated = kernels.witness_scan(g.adj, k)
+            assert saturated == (not any(missed for _, missed in met))
+            assert walked == want
+            verdicts.add(saturated)
+    assert verdicts == {True, False}
 
 
 def test_least_paths_edge_cases():
@@ -429,6 +462,55 @@ def test_contains_cycle_witness_is_least_path_of_first_cycle_edge(path_table):
                 assert got.kind == "cycle" and got.validate(g)
                 found += 1
     assert found
+
+
+def reference_least_cycle(adj, k):
+    """least_cycle by its definition, from the per-pair reference: the least
+    u on any k-cycle, then u's least neighbour v above u that a path of k-1
+    edges avoiding the vertices below u reaches, then the least such path."""
+    for u in range(len(adj)):
+        for v in range(u + 1, len(adj)):
+            if adj[u] >> v & 1:
+                p = per_pair_least_path(adj, u, v, k - 1, (1 << u) - 1)
+                if p is not None:
+                    return p
+    return None
+
+
+def cycle_graphs(family):
+    """Seeded random graphs (n = 2..12, every density) and the family for
+    n = 9..20."""
+    return ([g for g, _ in random_graphs(200, 12, 0xC7C)]
+            + [g for n, g in family.items() if n <= 20])
+
+
+def test_least_cycle_is_the_reference_cycle(family):
+    found = collections.Counter()
+    for g in cycle_graphs(family):
+        for k in range(3, 8):
+            want = reference_least_cycle(g.adj, k)
+            assert kernels.least_cycle(g.adj, k) == want, (to_graph6(g), k)
+            found[k, want is None] += 1
+    assert all(found[k, free] for k in range(3, 8) for free in (True, False))
+
+
+def test_least_cycle_walks_each_cycle_one_way(family):
+    # each walk from a path (u, a) seeks only targets below a: the other
+    # way round each cycle is never walked
+    firsts = []
+    walk = kernels._walk
+
+    def spy(adj, masks, visited, path, left, remaining, out):
+        if len(path) == 2:
+            firsts.append((path[1], remaining))
+        return walk(adj, masks, visited, path, left, remaining, out)
+
+    with mock.patch.object(kernels, "_walk", spy):
+        for g in cycle_graphs(family):
+            for k in range(3, 8):
+                kernels.least_cycle(g.adj, k)
+    assert firsts
+    assert all(remaining >> a == 0 for a, remaining in firsts)
 
 
 def test_check_saturated_witness_is_least_five_path():

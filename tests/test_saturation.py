@@ -1,11 +1,14 @@
+import collections
 import copy
 import hashlib
 import itertools
 import pickle
+import random
 
 import networkx as nx
 import pytest
 
+from satforge import kernels
 from satforge.construction import build_construction
 from satforge.graph import CyclePath, Graph, to_graph6
 from satforge.saturation import (
@@ -129,6 +132,40 @@ class TestCheckSaturated:
             g = random_connected_graph(rng, n_max=8)
             for k in (3, 4, 5, 6):
                 assert is_saturated_fast(g, k) == check_saturated(g, k).saturated
+
+
+def least_paths_report(g, k):
+    """(witness items, missing pair) of a C_k certificate from one
+    least_paths query per non-edge, in ascending (u, v) order."""
+    items, lost = [], []
+    for u, v in g.non_edges():
+        out = {}
+        if kernels.least_paths(g.adj, u, k - 1, 1 << v, 0, out):
+            lost.append((u, v))
+        else:
+            items.append(((u, v), (out[v], "cycle")))
+    return items, min(lost, default=None)
+
+
+def test_witnesses_match_one_query_per_non_edge():
+    rng = random.Random(0x5A7E)
+    graphs = [build_construction(n)[0] for n in range(9, 65)]
+    for _ in range(150):
+        n = rng.randint(3, 12)
+        p = rng.random()
+        graphs.append(Graph.from_edges(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    verdicts = collections.Counter()
+    for g in graphs:
+        for k in range(3, 8):
+            rep = check_saturated(g, k)
+            verdicts[k, rep.verdict] += 1
+            if rep.verdict != "not-free":
+                items, missing = least_paths_report(g, k)
+                assert list(rep.witnesses.items()) == items, (to_graph6(g), k)
+                assert rep.missing == missing
+    assert all(verdicts[k, v] for k in range(3, 8)
+               for v in ("saturated", "missing-witness", "not-free"))
 
 
 def brute_report(g, k):
