@@ -29,11 +29,10 @@ from fractions import Fraction
 
 from . import kernels
 from .construction import lower_bound_edges
-from .graph import Graph, GraphError, LevelPartition, bfs_levels, vertex_list
+from .graph import Graph, GraphError, LevelError, LevelPartition, bfs_levels, vertex_list
 from .saturation import (
     PreconditionError,
     degree_sum_holds,
-    good_roots,
     is_saturated_fast,
     t_sets,
     theta_classes,
@@ -69,15 +68,18 @@ def exact_sum(values):
     """The exact sum of rationals (Fractions or ints) as one `Fraction`.
 
     The numerators are summed as integers over the least common multiple of
-    the denominators, so only the result is normalized. `values` is read
-    twice, so it must be a collection, not an iterator.
+    the denominators, in one pass: the running sum is rescaled only when a
+    denominator does not divide the running one. Only the result is
+    normalized.
     """
-    den = 1
+    num, den = 0, 1
     for v in values:
-        den = math.lcm(den, v.denominator)
-    num = 0
-    for v in values:
-        num += v.numerator * (den // v.denominator)
+        q = v.denominator
+        if den % q:
+            scale = q // math.gcd(den, q)
+            num *= scale
+            den *= scale
+        num += v.numerator * (den // q)
     return F(num, den)
 
 
@@ -191,11 +193,13 @@ def _four_cycles_through(g, u):
     return count
 
 
-def choose_root(g: Graph) -> RootChoice:
+def choose_root(g: Graph) -> RootChoice | None:
     """Pick the audit root among minimum-degree vertices.
 
     delta = 1: minimize the number of 4-cycles through the unique neighbor.
     delta = 2: good root with the smallest degree-2 cycle class; ties by id.
+    None when delta = 2 and no vertex is a good root (`theta_classes` is
+    empty), the case the audit settles by a degree sum instead.
     """
     delta = g.min_degree()
     if delta >= 3:
@@ -209,7 +213,7 @@ def choose_root(g: Graph) -> RootChoice:
     else:
         classes = theta_classes(g)
         if not classes:
-            raise PreconditionError("no good root")
+            return None
         alpha = min(classes, key=lambda v: (classes[v], v))
         rationale = f"good-root-class-{classes[alpha]}"
         if classes[alpha] == 5:
@@ -226,9 +230,13 @@ def level_charges(g: Graph, root: int):
 
     A vertex with `down` neighbors one level nearer the root and `within` in
     its own level gets down + within/2 - 4/3, built in sixths as one
-    `Fraction`; V_1 has no level below it, so its `down` is 0.
+    `Fraction`; V_1 has no level below it, so its `down` is 0. Raises
+    LevelError when a vertex is unreachable or deeper than the five levels
+    the stages use.
     """
-    part = bfs_levels(g, root, 5)
+    part = bfs_levels(g, root)
+    if part.depth > 5:
+        raise LevelError(f"vertex at distance {part.depth} exceeds max level 5")
     ledger = ChargeLedger(g, part)
     charges = {}
     for v in range(g.n):
@@ -249,8 +257,8 @@ def charge_identity_holds(g: Graph, root: int) -> bool:
     return _identity_holds(level_charges(g, root))
 
 
-def initial_charge(g: Graph, rc: RootChoice) -> ChargeLedger:
-    ledger = level_charges(g, rc.alpha)
+def initial_charge(g: Graph, root: int) -> ChargeLedger:
+    ledger = level_charges(g, root)
     if not _identity_holds(ledger):
         raise DischargeError("initial charge identity failed")
     return ledger
@@ -756,11 +764,10 @@ def audit(g: Graph) -> DischargeAudit:
         # proper saturated host around the triangles)
         return DischargeAudit("complete-graph", g.n, g.edge_count,
                               g.edge_count >= lower_bound_edges(g.n))
-    removed = 0
-    ts = t_sets(g)
-    if ts.t2:
-        removed = len(ts.t2)
-        g = reduce_t2(g, ts.t2)
+    t1, t2 = t_sets(g)
+    removed = len(t2)
+    if removed:
+        g = reduce_t2(g, t2)
         # deleting vertices cannot create a C_6, so the reduced graph is
         # C_6-free like the input, and only its witnesses need a rescan
         if not kernels.witness_scan(g.adj, 6):
@@ -770,16 +777,16 @@ def audit(g: Graph) -> DischargeAudit:
     if delta >= 3:
         ok = 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("delta>=3", n, e, ok, reduced_t2=removed)
-    if delta == 2 and not good_roots(g):
-        # g passed a saturation scan above and has minimum degree 2, which
-        # is what degree_sum_holds assumes
-        # the input's T-sets are g's unless T_2 was removed
-        t1 = None if removed else ts.t1
+    rc = choose_root(g)
+    if rc is None:
+        # delta = 2 with no good root; g passed a saturation scan above, as
+        # degree_sum_holds assumes, and has the input's T_1 unless T_2 went
+        if removed:
+            t1 = t_sets(g)[0]
         ok = degree_sum_holds(g, t1) and 2 * e >= 3 * n and e >= lower_bound_edges(n)
         return DischargeAudit("no-good-root", n, e, ok, reduced_t2=removed)
 
-    rc = choose_root(g)
-    ledger = initial_charge(g, rc)
+    ledger = initial_charge(g, rc.alpha)
     classify(ledger)
     stage_one(ledger)
     stage_two(ledger)
@@ -789,7 +796,7 @@ def audit(g: Graph) -> DischargeAudit:
     _check_monotone(ledger, out.failures)
     _check_observations(ledger, out.failures)
     _check_theorems(ledger, out.failures)
-    if out.v1_sum != (F(-5, 3) if rc.delta == 1 else F(-2)):
+    if out.v1_sum != (F(-5, 3) if delta == 1 else F(-2)):
         out.failures.append("v1-sum check failed")
     if ledger.outer_sum("f7") < 0:
         out.failures.append("outer-sum-nonneg check failed")

@@ -26,7 +26,7 @@ class Graph6Error(GraphError):
 
 
 class LevelError(GraphError):
-    """BFS layering violated the requested level budget or connectivity."""
+    """A distance layering missed a vertex, or is deeper than its user allows."""
 
 
 def _check_pair(n, u, v):
@@ -377,10 +377,10 @@ def contains_cycle(g: Graph, k):
     return CyclePath._trusted((cycle, "cycle")) if cycle is not None else None
 
 
-def bfs_levels(g: Graph, root, max_level) -> LevelPartition:
+def bfs_levels(g: Graph, root) -> LevelPartition:
     """Strict distance layering: V_1 = N[root], V_i = distance-i vertices.
 
-    Raises LevelError when a vertex is unreachable or deeper than max_level.
+    Raises LevelError when a vertex is unreachable; callers bound the depth.
     """
     if not 0 <= root < g.n:
         raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
@@ -397,6 +397,4 @@ def bfs_levels(g: Graph, root, max_level) -> LevelPartition:
         seen |= frontier
     if seen != (1 << g.n) - 1:
         raise LevelError("graph is disconnected from the root")
-    if len(levels) > max_level:
-        raise LevelError(f"vertex at distance {len(levels)} exceeds max level {max_level}")
     return LevelPartition(tuple(levels), tuple(level_of))

@@ -1,5 +1,5 @@
 """C_k-freeness and saturation certificates, plus the structural vertex sets
-(T, T_1, T_2, good roots and their cycle classes) used by the audit pipeline.
+(T_1, T_2, and the good roots' cycle classes) used by the audit pipeline.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ def is_saturated_fast(g: Graph, k: int) -> bool:
 # structural vertex sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TSets:
-    t1: frozenset
-    t2: frozenset
-
-
 def _degree_two(g):
     """(v, a, b) for each degree-2 vertex v, with neighbors a < b."""
     for v in range(g.n):
@@ -92,22 +86,22 @@ def _degree_two(g):
             yield (v, *g.neighbors(v))
 
 
-def t_sets(g: Graph) -> TSets:
-    """Degree-2 vertices in a triangle, split by having a degree-2 neighbor.
-    A degree-2 vertex lies in a triangle iff its two neighbors are adjacent."""
+def t_sets(g: Graph) -> tuple:
+    """The pair (T_1, T_2) of frozensets that splits T, the degree-2
+    vertices in a triangle: T_2 holds those with a degree-2 neighbor.
+    A degree-2 vertex lies in a triangle iff its two neighbors are adjacent.
+    The degree-2 vertices outside T are the good roots, `theta_classes`'
+    keys."""
     t1, t2 = set(), set()
     for v, a, b in _degree_two(g):
         if g.has_edge(a, b):
             (t2 if 2 in (g.degree(a), g.degree(b)) else t1).add(v)
-    return TSets(frozenset(t1), frozenset(t2))
+    return frozenset(t1), frozenset(t2)
 
 
-def reduce_t2(g: Graph, t2=None) -> Graph:
-    """Delete every T_2 vertex in one shot, verifying the removed edge mass
-    equals 3|T_2|/2.  `t2`, if given, is `t_sets(g).t2`, which a caller
-    that has it need not have computed twice."""
-    if t2 is None:
-        t2 = t_sets(g).t2
+def reduce_t2(g: Graph, t2) -> Graph:
+    """Delete every vertex of `t2`, which is `t_sets(g)[1]`, in one shot,
+    verifying the removed edge mass equals 3|T_2|/2."""
     if not t2:
         return g
     removed = sum(1 for u, v in g.edges() if u in t2 or v in t2)
@@ -118,15 +112,10 @@ def reduce_t2(g: Graph, t2=None) -> Graph:
     return g.delete_vertices(t2)
 
 
-def good_roots(g: Graph) -> frozenset:
-    """Degree-2 vertices whose two neighbors are non-adjacent: the degree-2
-    vertices outside T."""
-    return frozenset(v for v, a, b in _degree_two(g) if not g.has_edge(a, b))
-
-
 def theta_classes(g: Graph) -> dict:
-    """Classify every good root by its short-cycle environment, as a
-    vertex -> class dict keyed by the good roots.
+    """Classify every good root, a degree-2 vertex whose two neighbors are
+    non-adjacent, by its short-cycle environment, as a vertex -> class dict
+    keyed by the good roots.
 
     Class 5 = on a chorded 5-cycle; class 4 = on both a 4- and 5-cycle but no
     chorded one; class 3 = 4-cycle only; class 2 = 5-cycle only; class 1 =
@@ -158,13 +147,10 @@ def theta_classes(g: Graph) -> dict:
     return classes
 
 
-def degree_sum_holds(g: Graph, t1=None) -> bool:
-    """Degree-sum bound over X = V minus degree-2 vertices outside T_1, for a
-    C_6-saturated graph of minimum degree 2; the caller establishes both
-    preconditions, and no saturation scan runs here.  `t1`, if given, is
-    `t_sets(g).t1`."""
-    if t1 is None:
-        t1 = t_sets(g).t1
+def degree_sum_holds(g: Graph, t1) -> bool:
+    """Degree-sum bound over X = V minus degree-2 vertices outside T_1, where
+    `t1` is `t_sets(g)[0]`, for a C_6-saturated graph of minimum degree 2;
+    the caller establishes both preconditions, and no saturation scan runs
+    here."""
     x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in t1)]
     return sum(g.degree(v) for v in x) >= 3 * len(x)
-

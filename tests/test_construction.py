@@ -8,7 +8,7 @@ from satforge.construction import (
     lower_bound_edges,
     upper_bound_edges,
 )
-from satforge.saturation import SaturationReport, check_saturated, good_roots, t_sets
+from satforge.saturation import SaturationReport, check_saturated, t_sets, theta_classes
 
 
 class TestCore:
@@ -75,7 +75,7 @@ class TestFamily:
     def test_min_degree_two_and_good_pendant_roots(self):
         g, spec = build_construction(15)
         assert g.min_degree() == 2
-        roots = good_roots(g)
+        roots = theta_classes(g).keys()
         for i in range(3):  # b_i vertices carry no triangle
             assert spec.labels[f"b{i}"] in roots
 
@@ -85,7 +85,7 @@ class TestFamily:
         assert g.has_edge(lab["z1"], lab["z2"])
         assert g.has_edge(lab["y4"], lab["z1"])
         assert g.has_edge(lab["y4"], lab["z2"])
-        assert {lab["z1"], lab["z2"]} == set(t_sets(g).t2)
+        assert {lab["z1"], lab["z2"]} == set(t_sets(g)[1])
 
 
 class TestBounds:

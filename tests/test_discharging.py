@@ -26,7 +26,7 @@ from satforge.discharging import (
     stage_one,
     stage_two,
 )
-from satforge.graph import LevelError, bfs_levels, from_graph6
+from satforge.graph import bfs_levels, from_graph6
 from satforge.saturation import PreconditionError
 from tests.conftest import (
     CHECK_MESSAGES,
@@ -81,7 +81,7 @@ def audit_digest(graphs):
 
 def _pipeline(g):
     rc = choose_root(g)
-    ledger = initial_charge(g, rc)
+    ledger = initial_charge(g, rc.alpha)
     classify(ledger)
     stage_one(ledger)
     stage_two(ledger)
@@ -117,6 +117,13 @@ class TestRootChoice:
         with pytest.raises(PreconditionError):
             choose_root(complete_graph(5))
 
+    def test_no_good_root_gives_none(self):
+        # minimum degree 2, and every degree-2 vertex lies in a triangle
+        g = from_graph6("IEDP?_a~w")
+        assert g.min_degree() == 2
+        assert choose_root(g) is None
+        assert audit(g).branch == "no-good-root"
+
 
 class TestInitialCharge:
     def test_identity_on_random_roots(self, rng):
@@ -124,9 +131,7 @@ class TestInitialCharge:
         while checked < 60:
             g = random_connected_graph(rng, n_max=10)
             root = rng.randrange(g.n)
-            try:
-                bfs_levels(g, root, 5)
-            except LevelError:
+            if bfs_levels(g, root).depth > 5:
                 continue
             assert charge_identity_holds(g, root)
             checked += 1
@@ -289,6 +294,25 @@ class TestAudit:
             seen += bool(a.reduced_t2)
         assert seen
 
+    def test_degree_sum_gets_the_audited_graphs_t1(self, monkeypatch):
+        # the no-good-root branch passes the T_1 of the graph it bounds:
+        # the input's, or the reduced graph's after a T_2 removal
+        from satforge.saturation import t_sets
+
+        calls = []
+        holds = discharging.degree_sum_holds
+
+        def spy(g, t1):
+            calls.append(t1 == t_sets(g)[0])
+            return holds(g, t1)
+
+        monkeypatch.setattr(discharging, "degree_sum_holds", spy)
+        branches = [(a.branch, bool(a.reduced_t2))
+                    for a in map(audit, _pinned_graphs())]
+        assert branches.count(("no-good-root", True)) == 2
+        assert branches.count(("no-good-root", False)) == 3
+        assert calls == [True] * 5
+
     def test_complete_graph_delta3_branch(self):
         for n in (4, 5):
             a = audit(complete_graph(n))
@@ -391,6 +415,15 @@ class TestExactSum:
                 got = exact_sum(vals)
                 assert type(got) is F
                 assert got == sum(vals, F(0)), vals
+
+    def test_reads_an_iterator_once(self):
+        assert exact_sum(v for v in (F(1, 6), F(-1, 3), F(85, 54))) == F(38, 27)
+        rng = random.Random(21)
+        for size in range(1, 25):
+            vals = [F(rng.randint(-500, 500), rng.randint(1, 200)) for _ in range(size)]
+            got = exact_sum(iter(vals))
+            assert type(got) is F
+            assert got == exact_sum(vals) == sum(vals, F(0)), vals
 
     def test_empty_and_dict_values(self):
         assert type(exact_sum([])) is F and exact_sum([]) == 0

@@ -69,7 +69,7 @@ class TestBasics:
 
     def test_vertex_range_errors(self):
         g = path_graph(5)
-        for call in (g.degree, g.neighbors, lambda v: bfs_levels(g, v, 5)):
+        for call in (g.degree, g.neighbors, lambda v: bfs_levels(g, v)):
             for v in (-1, 5, 7):
                 with pytest.raises(GraphError, match="outside 0..4"):
                     call(v)
@@ -306,7 +306,7 @@ class TestCycles:
 class TestLevels:
     def test_closed_neighborhood_is_first_level(self):
         g = path_graph(6)
-        part = bfs_levels(g, 0, 5)
+        part = bfs_levels(g, 0)
         assert part.levels[0] == (0, 1)
         assert part.level(0) == part.level(1) == 1
         assert part.level(5) == 5
@@ -314,8 +314,13 @@ class TestLevels:
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(LevelError):
-            bfs_levels(g, 0, 5)
+            bfs_levels(g, 0)
 
     def test_depth_overflow_raises(self):
-        with pytest.raises(LevelError):
-            bfs_levels(path_graph(9), 0, 5)
+        # the audit's layering needs at most five levels; path_graph(9) from
+        # an end has eight
+        from satforge.discharging import level_charges
+
+        assert bfs_levels(path_graph(9), 0).depth == 8
+        with pytest.raises(LevelError, match="exceeds max level 5"):
+            level_charges(path_graph(9), 0)

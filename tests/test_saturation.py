@@ -16,7 +16,6 @@ from satforge.saturation import (
     PreconditionError,
     check_saturated,
     degree_sum_holds,
-    good_roots,
     is_saturated_fast,
     reduce_t2,
     t_sets,
@@ -247,42 +246,47 @@ class TestStructureSets:
         seen = set()
         for g in graphs + process_graphs():
             t1, t2, roots, classes = brute_structure(g)
-            ts = t_sets(g)
-            assert (ts.t1, ts.t2) == (t1, t2), to_graph6(g)
-            assert good_roots(g) == roots, to_graph6(g)
-            assert set(theta_classes(g)) == good_roots(g), to_graph6(g)
+            assert t_sets(g) == (t1, t2), to_graph6(g)
+            assert set(theta_classes(g)) == roots, to_graph6(g)
             assert theta_classes(g) == classes, to_graph6(g)
             seen.update(classes.values())
         assert seen == {1, 2, 3, 4, 5}
 
     def test_family_has_empty_t2_when_divisible(self):
         g, _ = build_construction(12)
-        ts = t_sets(g)
-        assert ts.t2 == frozenset()
+        t1, t2 = t_sets(g)
+        assert t2 == frozenset()
         # y1 is the degree-2 triangle vertex with no degree-2 neighbor
-        assert len(ts.t1) == 1
+        assert len(t1) == 1
 
     def test_epsilon_two_gives_t2_pair(self):
         g, spec = build_construction(11)
-        ts = t_sets(g)
-        assert ts.t2 == frozenset({spec.labels["z1"], spec.labels["z2"]})
+        assert t_sets(g)[1] == frozenset({spec.labels["z1"], spec.labels["z2"]})
 
     def test_reduce_t2_recovers_core_family(self):
         g11, _ = build_construction(11)
         g9, _ = build_construction(9)
-        assert are_isomorphic(reduce_t2(g11), g9)
-        assert reduce_t2(g11, t_sets(g11).t2) == reduce_t2(g11)
+        assert are_isomorphic(reduce_t2(g11, t_sets(g11)[1]), g9)
 
     def test_reduce_t2_parity_guard(self):
-        # one pendant triangle vertex: |T_2| odd, accounting must fail
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (3, 4)])
-        if t_sets(g).t2:
-            with pytest.raises(BookkeepingError):
-                reduce_t2(g)
+        # K_3: all three vertices are in T_2, and the edge mass 3 is not
+        # 3|T_2|/2, so the accounting must fail
+        g = complete_graph(3)
+        t2 = t_sets(g)[1]
+        assert len(t2) == 3
+        with pytest.raises(BookkeepingError):
+            reduce_t2(g, t2)
+        # two triangles joined by the edge 2-3: T_2 = {0, 1, 4, 5} carries
+        # edge mass 6, and the reduction leaves that edge
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3),
+                                 (3, 4), (3, 5), (4, 5)])
+        t2 = t_sets(g)[1]
+        assert t2 == frozenset({0, 1, 4, 5})
+        assert reduce_t2(g, t2) == Graph.from_edges(2, [(0, 1)])
 
     def test_good_roots_are_triangle_free_degree_two(self):
         g, spec = build_construction(12)
-        roots = good_roots(g)
+        roots = theta_classes(g).keys()
         assert spec.labels["b0"] in roots
         assert spec.labels["b1"] in roots
         assert spec.labels["y1"] not in roots  # lies in a triangle
@@ -307,5 +311,4 @@ class TestDegreeSum:
         for n in (9, 12, 15):
             g, _ = build_construction(n)
             assert g.min_degree() == 2 and is_saturated_fast(g, 6)
-            assert degree_sum_holds(g)
-            assert degree_sum_holds(g, t_sets(g).t1)
+            assert degree_sum_holds(g, t_sets(g)[0])
