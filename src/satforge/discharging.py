@@ -12,9 +12,11 @@ with multiples of 1/6 in integer sixths, cross-multiplied by the charge's
 numerator and denominator (`_sixths`). All of it is exact integer
 arithmetic, so equality tests carry zero tolerance.
 
-The audit scans its input for C_6-freeness and every witness once. After the
-T_2 vertices are deleted it rescans only the witnesses, since deleting
-vertices cannot create a C_6.
+The audit walks its input's cycles once and each witness once. With no T_2
+vertex that is one saturation scan. Otherwise it certifies the input in
+three parts: a C_6-freeness walk, one witness walk from each T_2 vertex, and
+the witness scan of the reduced graph, which the audit runs on it anyway
+(`_reduce_saturated`).
 
 Stage snapshot semantics: each step is a function of the complete previous
 ledger; within a step, all sends are computed from the snapshot and applied
@@ -647,6 +649,8 @@ class DischargeAudit:
     final_bound_ok: bool
     reduced_t2: int = 0
     v1_sum: Fraction | None = None
+    root: int | None = None  # the full branch's `RootChoice.alpha`
+    root_rationale: str | None = None  # and its `RootChoice.rationale`
     failures: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     ledger: ChargeLedger | None = field(default=None, repr=False)
@@ -751,14 +755,50 @@ def _check_theorems(ledger, fail):
                 fail.append(f"final nonnegativity violated at {v}: f7 = {f7[v]}")
 
 
+def _reduce_saturated(g: Graph, t2) -> Graph:
+    """Certify that g, with n > 3 and the non-empty T_2 `t2`, is
+    C_6-saturated, walking each witness once, and return g less T_2.
+
+    1. `least_cycle` shows that g is C_6-free.
+    2. One walk from each T_2 vertex a, into all of a's non-neighbours,
+       covers every non-edge at a T_2 vertex.
+    3. Every other non-edge of g is a non-edge of the reduced graph, which
+       is induced, so a witness there is a witness in g: the reduced
+       graph's witness scan, which the audit needs anyway, covers the rest.
+
+    Raises PreconditionError when 1 or 2 fails. When 3 fails, a scan of g
+    chooses the error, as an audit that scanned g first would: a
+    PreconditionError if g is not saturated, and otherwise a DischargeError.
+    """
+    adj = g.adj
+    if kernels.least_cycle(adj, 6) is not None:
+        raise PreconditionError("input is not C_6-saturated")
+    everyone = (1 << g.n) - 1
+    for a in t2:
+        if kernels.least_paths(adj, a, 5, everyone ^ (adj[a] | 1 << a)):
+            raise PreconditionError("input is not C_6-saturated")
+    # reduce_t2's BookkeepingError cannot fire here. After 1 and 2 a T_2
+    # vertex reaches every vertex, so g is connected. A T_2 vertex v lies in
+    # a triangle vab whose a has degree 2, so a is in T_2 as well. As g is
+    # connected and n > 3, b has a neighbour outside the triangle, so b has
+    # degree 3 or more and is not in T_2. T_2 is then a union of such pairs
+    # {v, a}, each with its own three edges: an edge mass of 3|T_2|/2.
+    reduced = reduce_t2(g, t2)
+    if not kernels.witness_scan(reduced.adj, 6):
+        if not is_saturated_fast(g, 6):
+            raise PreconditionError("input is not C_6-saturated")
+        raise DischargeError("T_2 reduction destroyed saturation")
+    return reduced
+
+
 def audit(g: Graph) -> DischargeAudit:
     """Full pipeline audit of a C_6-saturated graph, dispatching on minimum
     degree exactly as the edge lower bound's proof does.  The charge
     identity and the conservation of each stage are not reported: the
     stages raise unless they hold."""
-    if not is_saturated_fast(g, 6):
-        raise PreconditionError("input is not C_6-saturated")
     if g.n <= 3:
+        if not is_saturated_fast(g, 6):
+            raise PreconditionError("input is not C_6-saturated")
         # K_1..K_3, the only C_6-saturated graphs on at most three vertices,
         # short-circuit (K_3 would fail the T_2 parity check, which assumes a
         # proper saturated host around the triangles)
@@ -767,11 +807,9 @@ def audit(g: Graph) -> DischargeAudit:
     t1, t2 = t_sets(g)
     removed = len(t2)
     if removed:
-        g = reduce_t2(g, t2)
-        # deleting vertices cannot create a C_6, so the reduced graph is
-        # C_6-free like the input, and only its witnesses need a rescan
-        if not kernels.witness_scan(g.adj, 6):
-            raise DischargeError("T_2 reduction destroyed saturation")
+        g = _reduce_saturated(g, t2)
+    elif not is_saturated_fast(g, 6):
+        raise PreconditionError("input is not C_6-saturated")
     n, e = g.n, g.edge_count
     delta = g.min_degree()
     if delta >= 3:
@@ -779,7 +817,7 @@ def audit(g: Graph) -> DischargeAudit:
         return DischargeAudit("delta>=3", n, e, ok, reduced_t2=removed)
     rc = choose_root(g)
     if rc is None:
-        # delta = 2 with no good root; g passed a saturation scan above, as
+        # delta = 2 with no good root; g was certified saturated above, as
         # degree_sum_holds assumes, and has the input's T_1 unless T_2 went
         if removed:
             t1 = t_sets(g)[0]
@@ -791,7 +829,8 @@ def audit(g: Graph) -> DischargeAudit:
     stage_one(ledger)
     stage_two(ledger)
 
-    out = DischargeAudit("full", n, e, False, reduced_t2=removed, ledger=ledger)
+    out = DischargeAudit("full", n, e, False, reduced_t2=removed, root=rc.alpha,
+                         root_rationale=rc.rationale, ledger=ledger)
     out.v1_sum = exact_sum([ledger.stages["g"][v] for v in ledger.level_set(1)])
     _check_monotone(ledger, out.failures)
     _check_observations(ledger, out.failures)

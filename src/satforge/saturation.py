@@ -1,4 +1,5 @@
-"""C_k-freeness and saturation certificates, plus the structural vertex sets
+"""C_k-freeness and saturation certificates, the leaf lemma's test that
+rules saturation out from degrees alone, and the structural vertex sets
 (T_1, T_2, and the good roots' cycle classes) used by the audit pipeline.
 """
 
@@ -73,6 +74,42 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
 def is_saturated_fast(g: Graph, k: int) -> bool:
     """Saturation test that builds no witnesses: the kernels' existence scan."""
     return kernels.saturation_scan(g.adj, k)
+
+
+def leaf_obstruction(g: Graph, k: int) -> bool:
+    """True when k >= 4 and g has an isolated vertex (n >= 2), two leaves
+    with one common neighbour (L1), or a leaf whose neighbour has degree at
+    most 2 (L2, n >= 3). Each leaves a non-edge that no path of k - 1 >= 3
+    edges joins, so g is not C_k-saturated; False says nothing.
+
+    - Isolated vertex v: v and any other vertex are a non-edge that no path
+      joins.
+    - L1: leaves a, b at x are not adjacent, and their one path is a-x-b,
+      of 2 edges.
+    - L2: a leaf a at x. If x has one more neighbour y, then a, y are not
+      adjacent and their one path is a-x-y, of 2 edges. If x is a leaf too,
+      a and a third vertex are a non-edge that no path joins.
+
+    For k = 3 it is False: two leaves at one vertex have their 2-path, and
+    the star K_{1,n-1} is C_3-saturated."""
+    if k < 4:
+        return False
+    adj = g.adj
+    hosts = 0  # the neighbours of the leaves met so far
+    for row in adj:
+        if not row & (row - 1):  # degree 0 or 1
+            if not row:
+                return g.n >= 2
+            if hosts & row:
+                return True
+            hosts |= row
+    if g.n >= 3:
+        while hosts:
+            low = hosts & -hosts
+            hosts ^= low
+            if adj[low.bit_length() - 1].bit_count() <= 2:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ canonical code, so a partial group costs speed, never a class.  Level
 graphs are C_k-free by construction, so the saturation test only looks for
 witnesses.  It runs from m = n-1 upward (a saturated graph is connected), on
 each new class as it is labeled, so the first level holding a saturated
-graph gives sat(n, C_k).
+graph gives sat(n, C_k).  For k >= 4 the leaf lemma
+(`saturation.leaf_obstruction`) settles most of these tests first: a class
+with an isolated vertex, two leaves at one vertex, or a leaf whose neighbour
+has degree at most 2 misses a witness, and the walk runs only on the rest.
 
 Every level is expanded in shares by p participants: the process and one
 forked worker per extra CPU it may run on, with at least `MIN_SHARE`
@@ -46,6 +49,7 @@ from pathlib import Path
 
 from . import kernels
 from .graph import Graph, GraphError, vertex_list, write_graph6_file
+from .saturation import leaf_obstruction
 
 MAX_CANON_VERTICES = 16
 
@@ -526,7 +530,8 @@ def _expand(parents, k, start, step, budget):
     that loses the merge would hold in memory for nothing.  `hit` says
     whether the child has every witness, tested only once it has n - 1
     edges: a C_k-saturated graph is connected, since an edge between two
-    components would close no cycle."""
+    components would close no cycle.  A child that `leaf_obstruction`
+    rules out is no hit, and its witnesses are not walked."""
     spent = budget.spent
     found, seen = [], set()
     try:
@@ -544,8 +549,11 @@ def _expand(parents, k, start, step, budget):
                 if code not in seen:
                     seen.add(code)
                     # level graphs are C_k-free by construction: only the
-                    # witnesses are left to test
+                    # witnesses are left to test, unless the leaves already
+                    # show one missing (tested here, not in witness_scan:
+                    # the audit's saturated inputs would never trip it)
                     hit = (child.edge_count >= child.n - 1
+                           and not leaf_obstruction(child, k)
                            and kernels.witness_scan(child.adj, k))
                     found.append((i, code, u, v, b"".join(child_generators), hit))
     except BudgetExhausted as exc:

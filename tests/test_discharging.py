@@ -26,8 +26,8 @@ from satforge.discharging import (
     stage_one,
     stage_two,
 )
-from satforge.graph import bfs_levels, from_graph6
-from satforge.saturation import PreconditionError
+from satforge.graph import Graph, bfs_levels, from_graph6
+from satforge.saturation import PreconditionError, is_saturated_fast, t_sets
 from tests.conftest import (
     CHECK_MESSAGES,
     complete_graph,
@@ -116,6 +116,19 @@ class TestRootChoice:
     def test_high_min_degree_rejected(self):
         with pytest.raises(PreconditionError):
             choose_root(complete_graph(5))
+
+    def test_audit_reports_the_root_and_why(self):
+        rationales = set()
+        for g in _pinned_graphs():
+            a = audit(g)
+            if a.branch != "full":
+                assert (a.root, a.root_rationale) == (None, None), a.branch
+                continue
+            rc = choose_root(a.ledger.graph)
+            assert (a.root, a.root_rationale) == (rc.alpha, rc.rationale)
+            rationales.add(a.root_rationale)
+        assert "min-4-cycles-at-neighbor" in rationales  # delta = 1
+        assert "good-root-class-2" in rationales  # delta = 2
 
     def test_no_good_root_gives_none(self):
         # minimum degree 2, and every degree-2 vertex lies in a triangle
@@ -349,22 +362,51 @@ class TestAudit:
             assert all(f["f7"][y] == 0 for y in led.level_set(3) if f["f6"][y] >= 0)
 
     def test_no_good_root_branch_adds_no_scan(self, monkeypatch):
-        calls = {"least_cycle": 0, "witness_scan": 0}
+        calls = {"least_cycle": 0, "witness_scan": 0, "least_paths": 0}
         for name in calls:
-            def counted(adj, k, name=name, scan=getattr(kernels, name)):
+            def counted(adj, *args, name=name, scan=getattr(kernels, name)):
                 calls[name] += 1
-                return scan(adj, k)
+                return scan(adj, *args)
             monkeypatch.setattr(kernels, name, counted)
         seen = 0
         for g in _pinned_graphs():
-            calls.update(least_cycle=0, witness_scan=0)
+            calls.update(least_cycle=0, witness_scan=0, least_paths=0)
             a = audit(g)
-            # one cycle walk, on the input; one witness scan of the input,
-            # and one of the reduced graph when T_2 is not empty
-            assert calls == {"least_cycle": 1,
-                             "witness_scan": 1 + bool(a.reduced_t2)}, a.branch
+            # one cycle walk, on the input; one witness scan, of the input or,
+            # when T_2 is not empty, of the reduced graph, after one witness
+            # walk from each T_2 vertex
+            assert calls == {"least_cycle": 1, "witness_scan": 1,
+                             "least_paths": a.reduced_t2}, a.branch
             seen += a.branch == "no-good-root"
         assert seen == 5
+
+    def test_rejects_exactly_the_unsaturated(self):
+        # with a pendant triangle hung on, most inputs have T_2 vertices and
+        # are certified in parts; the verdict must be the full scan's.
+        # KASaoBzhY?G@ (n = 12, T_2 = {10, 11}) is C_6-free and has every
+        # witness at its T_2 vertices, but is not saturated: its reduced
+        # graph misses a witness, and a scan of the input picks the error
+        pinned = from_graph6("KASaoBzhY?G@")
+        assert t_sets(pinned)[1] == {10, 11}
+        assert kernels.least_cycle(pinned.adj, 6) is None
+        assert not is_saturated_fast(pinned, 6)
+        graphs = [build_construction(n)[0] for n in range(9, 41)] + process_graphs()
+        hung = []
+        for i, g in enumerate(graphs):
+            n, x = g.n, i % g.n
+            hung.append(Graph.from_edges(n + 2, g.edges() + [(x, n), (x, n + 1),
+                                                             (n, n + 1)]))
+        outcomes = set()
+        for g in [pinned, path_graph(7), *graphs, *hung]:
+            saturated = is_saturated_fast(g, 6)
+            try:
+                audit(g)
+            except PreconditionError as exc:
+                assert not saturated and str(exc) == "input is not C_6-saturated"
+            else:
+                assert saturated
+            outcomes.add((saturated, bool(t_sets(g)[1])))
+        assert outcomes == {(s, t) for s in (False, True) for t in (False, True)}
 
     def test_pinned_digest(self):
         assert audit_digest(_pinned_graphs()) == AUDIT_DIGEST

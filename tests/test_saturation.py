@@ -17,6 +17,7 @@ from satforge.saturation import (
     check_saturated,
     degree_sum_holds,
     is_saturated_fast,
+    leaf_obstruction,
     reduce_t2,
     t_sets,
     theta_classes,
@@ -236,6 +237,50 @@ def brute_structure(g):
         chorded = any(g.has_edge(c[i], c[(i + 2) % 5]) for c in c5s for i in range(5))
         classes[v] = 5 if chorded else 4 if c4 and c5s else 3 if c4 else 2 if c5s else 1
     return t1, t2, roots, classes
+
+
+class TestLeafObstruction:
+    @staticmethod
+    def _graphs():
+        """Every labeled graph with n <= 5, then 2,000 seeded random graphs
+        with n = 6..14 over a spread of densities."""
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                yield Graph.from_edges(n, [p for i, p in enumerate(pairs)
+                                           if bits >> i & 1])
+        rng = random.Random(0x1EAF)
+        for _ in range(2000):
+            n = rng.randint(6, 14)
+            p = rng.choice((0.1, 0.2, 0.3, 0.5, 0.7))
+            yield Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                       if rng.random() < p])
+
+    def test_true_only_when_a_witness_is_missing(self):
+        outcomes = collections.Counter()
+        for g in self._graphs():
+            for k in range(3, 8):
+                ruled_out = leaf_obstruction(g, k)
+                assert not (ruled_out and k == 3), to_graph6(g)
+                scan = kernels.witness_scan(g.adj, k)
+                assert not (ruled_out and scan), (to_graph6(g), k)
+                outcomes[ruled_out, scan] += 1
+        # the lemma settles some scans and leaves others open both ways
+        assert set(outcomes) == {(True, False), (False, False), (False, True)}
+
+    def test_edge_cases(self):
+        for k in range(3, 8):
+            for g in (complete_graph(1), complete_graph(2), complete_graph(3)):
+                assert not leaf_obstruction(g, k), (g.n, k)
+        k2_plus_one = Graph.from_edges(3, [(0, 1)])
+        for k in range(4, 8):
+            assert leaf_obstruction(path_graph(3), k)  # L2
+            assert leaf_obstruction(k2_plus_one, k)  # isolated vertex
+            assert leaf_obstruction(star_graph(5), k)  # L1
+            assert not leaf_obstruction(cycle_graph(6), k)
+        # at k = 3 the star is saturated, with two leaves at one vertex
+        assert not leaf_obstruction(star_graph(5), 3)
+        assert is_saturated_fast(star_graph(5), 3)
 
 
 class TestStructureSets:

@@ -664,6 +664,30 @@ class TestLevelScans:
             assert hits[0].edge_count == res.min_edges
             assert [canonical_graph(g) for g in hits] == res.graphs
 
+    @pytest.mark.parametrize("n, k", [(9, 6), (9, 4), (8, 3)])
+    def test_lemma_settles_scans_before_the_walk(self, n, k, participants,
+                                                 monkeypatch):
+        # every child with n - 1 edges or more is put to the leaf lemma, and
+        # only the children it leaves open are walked
+        participants(1)
+        lemma, scanned = [], []
+        obstruction, scan = search.leaf_obstruction, kernels.witness_scan
+
+        def lemma_spy(g, k):
+            lemma.append((g.adj, obstruction(g, k)))
+            return lemma[-1][1]
+
+        def scan_spy(adj, k):
+            scanned.append(adj)
+            return scan(adj, k)
+
+        monkeypatch.setattr(search, "leaf_obstruction", lemma_spy)
+        monkeypatch.setattr(kernels, "witness_scan", scan_spy)
+        enumerate_saturated(n, k)
+        assert scanned == [adj for adj, ruled_out in lemma if not ruled_out]
+        settled = sum(ruled_out for _, ruled_out in lemma)
+        assert bool(settled) == (k > 3), settled
+
     def test_k2_is_a_hit_and_k1_needs_no_level(self, monkeypatch):
         # sat(2, C_6) = 1 from the first level's scan; sat(1, C_6) = 0 from
         # the initial level, with no `_next_level` call
