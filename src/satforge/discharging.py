@@ -12,11 +12,11 @@ with multiples of 1/6 in integer sixths, cross-multiplied by the charge's
 numerator and denominator (`_sixths`). All of it is exact integer
 arithmetic, so equality tests carry zero tolerance.
 
-The audit walks its input's cycles once and each witness once. With no T_2
-vertex that is one saturation scan. Otherwise it certifies the input in
-three parts: a C_6-freeness walk, one witness walk from each T_2 vertex, and
-the witness scan of the reduced graph, which the audit runs on it anyway
-(`_reduce_saturated`).
+The audit certifies every input on more than three vertices one way: one
+witness walk from each T_2 vertex, then one saturation scan of the graph
+less T_2, the graph the stages run on. Deleting the pendant triangles'
+T_2 pairs changes neither C_6-freeness nor any other witness, so the two
+steps together are exact (`_reduce_saturated`).
 
 Stage snapshot semantics: each step is a function of the complete previous
 ledger; within a step, all sends are computed from the snapshot and applied
@@ -756,39 +756,32 @@ def _check_theorems(ledger, fail):
 
 
 def _reduce_saturated(g: Graph, t2) -> Graph:
-    """Certify that g, with n > 3 and the non-empty T_2 `t2`, is
-    C_6-saturated, walking each witness once, and return g less T_2.
+    """Certify that g, with n > 3 and T_2 `t2`, is C_6-saturated, and
+    return g less T_2: one walk from each T_2 vertex covers its non-edges,
+    then one saturation scan of the reduced graph covers the rest. Raises
+    PreconditionError when either fails.
 
-    1. `least_cycle` shows that g is C_6-free.
-    2. One walk from each T_2 vertex a, into all of a's non-neighbours,
-       covers every non-edge at a T_2 vertex.
-    3. Every other non-edge of g is a non-edge of the reduced graph, which
-       is induced, so a witness there is a witness in g: the reduced
-       graph's witness scan, which the audit needs anyway, covers the rest.
-
-    Raises PreconditionError when 1 or 2 fails. When 3 fails, a scan of g
-    chooses the error, as an audit that scanned g first would: a
-    PreconditionError if g is not saturated, and otherwise a DischargeError.
+    This is exact. After the walks, g is connected. A T_2 vertex v has
+    degree 2, in a triangle vab whose a has degree 2 too, so a is in T_2
+    with neighbours v and b only; b, with a neighbour outside the triangle
+    as n > 3, is not. So the only cycle through v or a is vab, and g is
+    C_6-free iff the reduced graph is. A path between two vertices outside
+    T_2 cannot pass v or a, as both would need b as a path neighbour; so
+    the reduced graph, being induced, has a witness for a non-edge iff g
+    does.
     """
-    adj = g.adj
-    if kernels.least_cycle(adj, 6) is not None:
+    if t2:
+        adj = g.adj
+        everyone = (1 << g.n) - 1
+        for a in t2:
+            if kernels.least_paths(adj, a, 5, everyone ^ (adj[a] | 1 << a)):
+                raise PreconditionError("input is not C_6-saturated")
+        # the walks made g connected, so T_2 is the pairs {v, a} above, each
+        # with its own three edges, and reduce_t2's check holds
+        g = reduce_t2(g, t2)
+    if not is_saturated_fast(g, 6):
         raise PreconditionError("input is not C_6-saturated")
-    everyone = (1 << g.n) - 1
-    for a in t2:
-        if kernels.least_paths(adj, a, 5, everyone ^ (adj[a] | 1 << a)):
-            raise PreconditionError("input is not C_6-saturated")
-    # reduce_t2's BookkeepingError cannot fire here. After 1 and 2 a T_2
-    # vertex reaches every vertex, so g is connected. A T_2 vertex v lies in
-    # a triangle vab whose a has degree 2, so a is in T_2 as well. As g is
-    # connected and n > 3, b has a neighbour outside the triangle, so b has
-    # degree 3 or more and is not in T_2. T_2 is then a union of such pairs
-    # {v, a}, each with its own three edges: an edge mass of 3|T_2|/2.
-    reduced = reduce_t2(g, t2)
-    if not kernels.witness_scan(reduced.adj, 6):
-        if not is_saturated_fast(g, 6):
-            raise PreconditionError("input is not C_6-saturated")
-        raise DischargeError("T_2 reduction destroyed saturation")
-    return reduced
+    return g
 
 
 def audit(g: Graph) -> DischargeAudit:
@@ -806,10 +799,7 @@ def audit(g: Graph) -> DischargeAudit:
                               g.edge_count >= lower_bound_edges(g.n))
     t1, t2 = t_sets(g)
     removed = len(t2)
-    if removed:
-        g = _reduce_saturated(g, t2)
-    elif not is_saturated_fast(g, 6):
-        raise PreconditionError("input is not C_6-saturated")
+    g = _reduce_saturated(g, t2)
     n, e = g.n, g.edge_count
     delta = g.min_degree()
     if delta >= 3:

@@ -138,15 +138,18 @@ def t_sets(g: Graph) -> tuple:
 
 def reduce_t2(g: Graph, t2) -> Graph:
     """Delete every vertex of `t2`, which is `t_sets(g)[1]`, in one shot,
-    verifying the removed edge mass equals 3|T_2|/2."""
-    if not t2:
-        return g
-    removed = sum(1 for u, v in g.edges() if u in t2 or v in t2)
-    if len(t2) % 2 != 0 or 2 * removed != 3 * len(t2):
+    verifying that |T_2| is even, before any deletion (K_3 fails here), and
+    that the edges the reduced graph lacks, the removed edge mass, number
+    3|T_2|/2."""
+    if len(t2) % 2:
+        raise BookkeepingError(f"odd |T_2|={len(t2)}")
+    reduced = g.delete_vertices(t2)
+    removed = g.edge_count - reduced.edge_count
+    if 2 * removed != 3 * len(t2):
         raise BookkeepingError(
             f"removed edge mass {removed} != 3|T_2|/2 with |T_2|={len(t2)}"
         )
-    return g.delete_vertices(t2)
+    return reduced
 
 
 def theta_classes(g: Graph) -> dict:

@@ -362,34 +362,41 @@ class TestAudit:
             assert all(f["f7"][y] == 0 for y in led.level_set(3) if f["f6"][y] >= 0)
 
     def test_no_good_root_branch_adds_no_scan(self, monkeypatch):
-        calls = {"least_cycle": 0, "witness_scan": 0, "least_paths": 0}
+        calls = {"least_cycle": [], "witness_scan": [], "least_paths": []}
         for name in calls:
             def counted(adj, *args, name=name, scan=getattr(kernels, name)):
-                calls[name] += 1
+                calls[name].append(len(adj))
                 return scan(adj, *args)
             monkeypatch.setattr(kernels, name, counted)
         seen = 0
         for g in _pinned_graphs():
-            calls.update(least_cycle=0, witness_scan=0, least_paths=0)
+            for sizes in calls.values():
+                sizes.clear()
             a = audit(g)
-            # one cycle walk, on the input; one witness scan, of the input or,
-            # when T_2 is not empty, of the reduced graph, after one witness
-            # walk from each T_2 vertex
-            assert calls == {"least_cycle": 1, "witness_scan": 1,
-                             "least_paths": a.reduced_t2}, a.branch
+            # one witness walk from each T_2 vertex, on the input, then one
+            # saturation scan (a cycle walk and a witness scan) of the graph
+            # less T_2, the one the branches run on
+            assert calls["least_cycle"] == calls["witness_scan"] == [a.n], a.branch
+            assert len(calls["least_paths"]) == a.reduced_t2, a.branch
             seen += a.branch == "no-good-root"
         assert seen == 5
 
     def test_rejects_exactly_the_unsaturated(self):
         # with a pendant triangle hung on, most inputs have T_2 vertices and
-        # are certified in parts; the verdict must be the full scan's.
-        # KASaoBzhY?G@ (n = 12, T_2 = {10, 11}) is C_6-free and has every
-        # witness at its T_2 vertices, but is not saturated: its reduced
-        # graph misses a witness, and a scan of the input picks the error
+        # are certified by walks from them and a scan of the reduced graph;
+        # the verdict must be the full scan's. KASaoBzhY?G@ (n = 12,
+        # T_2 = {10, 11}) is C_6-free and has every witness at its T_2
+        # vertices, but is not saturated: the scan of its reduced graph
+        # misses a witness. K_6 with a pendant triangle (T_2 = {6, 7}) has
+        # every witness, in the input and in the reduced K_6, and a 6-cycle,
+        # which only the scan's cycle walk finds
         pinned = from_graph6("KASaoBzhY?G@")
         assert t_sets(pinned)[1] == {10, 11}
         assert kernels.least_cycle(pinned.adj, 6) is None
         assert not is_saturated_fast(pinned, 6)
+        c6 = Graph.from_edges(8, complete_graph(6).edges() + [(0, 6), (0, 7), (6, 7)])
+        assert t_sets(c6)[1] == {6, 7}
+        assert kernels.witness_scan(c6.adj, 6)
         graphs = [build_construction(n)[0] for n in range(9, 41)] + process_graphs()
         hung = []
         for i, g in enumerate(graphs):
@@ -397,7 +404,7 @@ class TestAudit:
             hung.append(Graph.from_edges(n + 2, g.edges() + [(x, n), (x, n + 1),
                                                              (n, n + 1)]))
         outcomes = set()
-        for g in [pinned, path_graph(7), *graphs, *hung]:
+        for g in [pinned, c6, path_graph(7), *graphs, *hung]:
             saturated = is_saturated_fast(g, 6)
             try:
                 audit(g)

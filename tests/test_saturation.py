@@ -351,6 +351,52 @@ class TestStructureSets:
         assert theta_classes(cycle_graph(4)) == dict.fromkeys(range(4), 3)
 
 
+def _hung_graphs(rng, count):
+    """Random connected graphs on 2..10 vertices, each with one or two
+    pendant triangles hung on: n > 3 and T_2 not empty."""
+    for _ in range(count):
+        n = rng.randint(2, 10)
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = {tuple(sorted((order[rng.randrange(i)], order[i])))
+                 for i in range(1, n)}
+        p = rng.random()
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        edges = sorted(edges)
+        for _ in range(rng.randint(1, 2)):
+            x = rng.randrange(n)
+            edges += [(x, n), (x, n + 1), (n, n + 1)]
+            n += 2
+        yield Graph.from_edges(n, edges)
+
+
+class TestPendantTriangleLemma:
+    def test_reduction_keeps_cycles_and_witnesses(self):
+        # the lemma behind the audit's certification: deleting T_2 keeps
+        # C_k-freeness for k >= 4, and g is C_k-saturated iff each T_2
+        # vertex reaches all its non-neighbours and the reduced graph is
+        # C_k-saturated
+        cases = saturated = 0
+        for g in _hung_graphs(random.Random(11), 3000):
+            t2 = t_sets(g)[1]
+            assert g.n > 3 and t2
+            reduced = reduce_t2(g, t2)
+            adj, everyone = g.adj, (1 << g.n) - 1
+            for k in range(4, 8):
+                key = (to_graph6(g), k)
+                assert ((kernels.least_cycle(adj, k) is None)
+                        == (kernels.least_cycle(reduced.adj, k) is None)), key
+                walks = not any(kernels.least_paths(adj, a, k - 1,
+                                                    everyone ^ (adj[a] | 1 << a))
+                                for a in t2)
+                sat = is_saturated_fast(g, k)
+                assert sat == (walks and is_saturated_fast(reduced, k)), key
+                cases += 1
+                saturated += sat
+        assert cases == 12000
+        assert saturated == 1003
+
+
 class TestDegreeSum:
     def test_family_satisfies_bound(self):
         for n in (9, 12, 15):
