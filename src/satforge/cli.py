@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 verdict failure (or stdout closed by its reader),
 input errors into `error: ...` on stderr and exit 2; the commands let them
 rise.
 All charge output is exact `p/q`; bound tables are integers.
+
+The result files are the command line's: `search` writes its graphs to
+`result_path(n, k)` under `--out` (by default `RESULTS_DIR`), and `table`
+reads its exact column from there without loading the search.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ from .construction import (
     lower_bound_edges,
     upper_bound_edges,
 )
-from .graph import Graph6Error, GraphError, read_graph6_file, to_graph6
+from .graph import Graph6Error, GraphError, read_graph6_file, to_graph6, write_graph6_file
 from .saturation import PreconditionError, check_saturated
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+RESULTS_DIR = Path("search-results")  # relative to the working directory
 
 
 class InputError(ValueError):
@@ -121,9 +127,33 @@ def cmd_check(args):
     return EXIT_OK if all_ok else EXIT_VERDICT
 
 
+def result_path(n: int, k: int, outdir=RESULTS_DIR) -> Path:
+    """The file that holds the minimum C_k-saturated graphs on n vertices."""
+    return Path(outdir) / f"sat_{n}_{k}.g6"
+
+
+def save_result(result, outdir) -> Path:
+    """Write the minimum graphs of a `search.SearchResult` to `result_path`
+    under `outdir`."""
+    path = result_path(result.n, result.k, outdir)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_graph6_file(path, result.graphs)
+    return path
+
+
+def summary_table(results) -> str:
+    lines = [f"{'n':>4} {'k':>3} {'sat':>5} {'classes':>8} {'status':>18} {'nodes':>10}"]
+    for r in results:
+        sat = r.min_edges if r.min_edges is not None else "-"
+        lines.append(
+            f"{r.n:>4} {r.k:>3} {sat!s:>5} {len(r.graphs):>8} "
+            f"{r.status:>18} {r.nodes:>10}"
+        )
+    return "\n".join(lines)
+
+
 def cmd_search(args):
-    from .search import (RESULTS_DIR, check_search_args, enumerate_saturated,
-                         save_result, summary_table)
+    from .search import check_search_args, enumerate_saturated
 
     out = RESULTS_DIR if args.out is None else args.out
     # bad arguments leave no directory behind, and an --out that cannot be
@@ -177,8 +207,6 @@ def cmd_audit(args):
 
 
 def cmd_table(args):
-    from .search import result_path
-
     print(f"{'n':>4} {'lower':>6} {'upper':>6} {'edges':>6} {'sat':>5}")
     for n in args.n_range:
         try:

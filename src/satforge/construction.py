@@ -5,8 +5,8 @@ divisible by 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .graph import MAX_VERTICES, Graph, GraphError
 from .saturation import check_saturated
@@ -27,8 +27,7 @@ class ConstructionError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedTuple):
     n: int
     t: int
     epsilon: int

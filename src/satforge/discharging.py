@@ -1,16 +1,17 @@
 """Two-stage discharging audit on a concrete C_6-saturated graph.
 
-Root selection, distance layering, the initial per-vertex charge, five
-first-stage redistribution steps, seven second-stage steps, and the audit
-that checks every conservation identity and runtime assertion. Every stored
-charge is an exact `fractions.Fraction`. Sums of charges are taken over one
-common denominator (`exact_sum`), and so are the transfers of a step: each
-vertex's net change is an integer over the amounts' common denominator, and
-a vertex whose net change is 0 keeps its charge object (`_apply`). The rules
-and the checks read a charge's sign from its numerator, and compare charges
-with multiples of 1/6 in integer sixths, cross-multiplied by the charge's
-numerator and denominator (`_sixths`). All of it is exact integer
-arithmetic, so equality tests carry zero tolerance.
+The structural vertex sets (T_1, T_2 and the good roots' cycle classes), the
+T_2 reduction, root selection, distance layering, the initial per-vertex
+charge, five first-stage redistribution steps, seven second-stage steps, and
+the audit that checks every conservation identity and runtime assertion.
+Every stored charge is an exact `fractions.Fraction`. Sums of charges are
+taken over one common denominator (`exact_sum`), and so are the transfers of
+a step: each vertex's net change is an integer over the amounts' common
+denominator, and a vertex whose net change is 0 keeps its charge object
+(`_apply`). The rules and the checks read a charge's sign from its
+numerator, and compare charges with multiples of 1/6 in integer sixths,
+cross-multiplied by the charge's numerator and denominator (`_sixths`). All
+of it is exact integer arithmetic, so equality tests carry zero tolerance.
 
 The audit certifies every input on more than three vertices one way: one
 witness walk from each T_2 vertex, then one saturation scan of the graph
@@ -31,15 +32,8 @@ from fractions import Fraction
 
 from . import kernels
 from .construction import lower_bound_edges
-from .graph import Graph, GraphError, LevelError, LevelPartition, bfs_levels, vertex_list
-from .saturation import (
-    PreconditionError,
-    degree_sum_holds,
-    is_saturated_fast,
-    t_sets,
-    theta_classes,
-    reduce_t2,
-)
+from .graph import Graph, GraphError, vertex_list
+from .saturation import PreconditionError, is_saturated_fast
 
 F = Fraction
 THIRD = F(1, 3)
@@ -57,6 +51,14 @@ class DischargeError(GraphError):
 
 class RuleConflict(DischargeError):
     """A redistribution step drove a sender below its stated budget."""
+
+
+class LevelError(GraphError):
+    """A distance layering missed a vertex, or is deeper than its user allows."""
+
+
+class BookkeepingError(GraphError):
+    """T_2-deletion edge accounting failed; input likely not C_6-saturated."""
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,134 @@ class ChargeLedger:
 
 MINUS = ("-1", "-2")
 PLUS = ("1", "2")
+
+
+# ---------------------------------------------------------------------------
+# distance layering
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LevelPartition:
+    """Distance layering from a root: levels[0] is the closed neighborhood,
+    levels[i] the vertices at distance i+1, each an ascending vertex tuple;
+    `level_of[v]` is v's 1-based level."""
+
+    levels: tuple
+    level_of: tuple = field(repr=False)
+
+    def level(self, v):
+        return self.level_of[v]
+
+    @property
+    def depth(self):
+        return len(self.levels)
+
+
+def bfs_levels(g: Graph, root) -> LevelPartition:
+    """Strict distance layering: V_1 = N[root], V_i = distance-i vertices.
+
+    Raises LevelError when a vertex is unreachable; callers bound the depth.
+    """
+    if not 0 <= root < g.n:
+        raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
+    adj = g.adj
+    frontier = seen = adj[root] | 1 << root  # root and its neighbors share V_1
+    levels, level_of = [], [0] * g.n
+    while frontier:
+        levels.append(tuple(vertex_list(frontier)))
+        nxt = 0
+        for v in levels[-1]:
+            nxt |= adj[v]
+            level_of[v] = len(levels)
+        frontier = nxt & ~seen
+        seen |= frontier
+    if seen != (1 << g.n) - 1:
+        raise LevelError("graph is disconnected from the root")
+    return LevelPartition(tuple(levels), tuple(level_of))
+
+
+# ---------------------------------------------------------------------------
+# structural vertex sets
+# ---------------------------------------------------------------------------
+
+def _degree_two(g):
+    """(v, a, b) for each degree-2 vertex v, with neighbors a < b."""
+    for v in range(g.n):
+        if g.degree(v) == 2:
+            yield (v, *g.neighbors(v))
+
+
+def t_sets(g: Graph) -> tuple:
+    """The pair (T_1, T_2) of frozensets that splits T, the degree-2
+    vertices in a triangle: T_2 holds those with a degree-2 neighbor.
+    A degree-2 vertex lies in a triangle iff its two neighbors are adjacent.
+    The degree-2 vertices outside T are the good roots, `theta_classes`'
+    keys."""
+    t1, t2 = set(), set()
+    for v, a, b in _degree_two(g):
+        if g.has_edge(a, b):
+            (t2 if 2 in (g.degree(a), g.degree(b)) else t1).add(v)
+    return frozenset(t1), frozenset(t2)
+
+
+def reduce_t2(g: Graph, t2) -> Graph:
+    """Delete every vertex of `t2`, which is `t_sets(g)[1]`, in one shot,
+    verifying that |T_2| is even, before any deletion (K_3 fails here), and
+    that the edges the reduced graph lacks, the removed edge mass, number
+    3|T_2|/2."""
+    if len(t2) % 2:
+        raise BookkeepingError(f"odd |T_2|={len(t2)}")
+    reduced = g.delete_vertices(t2)
+    removed = g.edge_count - reduced.edge_count
+    if 2 * removed != 3 * len(t2):
+        raise BookkeepingError(
+            f"removed edge mass {removed} != 3|T_2|/2 with |T_2|={len(t2)}"
+        )
+    return reduced
+
+
+def theta_classes(g: Graph) -> dict:
+    """Classify every good root, a degree-2 vertex whose two neighbors are
+    non-adjacent, by its short-cycle environment, as a vertex -> class dict
+    keyed by the good roots.
+
+    Class 5 = on a chorded 5-cycle; class 4 = on both a 4- and 5-cycle but no
+    chorded one; class 3 = 4-cycle only; class 2 = 5-cycle only; class 1 =
+    neither. Classes 1..5 partition the good roots.
+
+    For v with neighbors a < b: v is on a 4-cycle iff a and b have a common
+    neighbor other than v, and on a 5-cycle v-a-x-y-b iff some path a-x-y-b
+    avoids v. a and b are not adjacent, so such a cycle is chorded iff ay or
+    xb is an edge, since v has no other neighbors.
+    """
+    adj = g.adj
+    classes = {}
+    for v, a, b in _degree_two(g):
+        if adj[a] >> b & 1:
+            continue  # v lies in a triangle: not a good root
+        c4 = adj[a] & adj[b] & ~(1 << v)
+        c5 = chorded = False
+        for x in g.neighbors(a):
+            if x == v:
+                continue
+            ys = adj[x] & adj[b] & ~(1 << v | 1 << a)
+            if ys:
+                c5 = True
+                if adj[a] & ys or adj[b] >> x & 1:
+                    chorded = True
+                    break
+        classes[v] = (5 if chorded else 4 if c4 and c5 else 3 if c4
+                      else 2 if c5 else 1)
+    return classes
+
+
+def degree_sum_holds(g: Graph, t1) -> bool:
+    """Degree-sum bound over X = V minus degree-2 vertices outside T_1, where
+    `t1` is `t_sets(g)[0]`, for a C_6-saturated graph of minimum degree 2;
+    the caller establishes both preconditions, and no saturation scan runs
+    here."""
+    x = [v for v in range(g.n) if not (g.degree(v) == 2 and v not in t1)]
+    return sum(g.degree(v) for v in x) >= 3 * len(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Compact undirected graph kernel: bitset adjacency, graph6 I/O, the
-`CyclePath` witness type, C_k witness cycles (through the search in
-:mod:`satforge.kernels`) and BFS layering.
+"""Compact undirected graph kernel: bitset adjacency, graph6 I/O and the
+`CyclePath` witness type. It imports nothing from the package: the cycle
+and path searches are in :mod:`satforge.kernels`, and the audit's distance
+layering is in :mod:`satforge.discharging`.
 
 Vertices are 0..n-1 with n capped at 64 so each adjacency row is one machine
 word. Graphs are immutable; every mutator returns a new instance.
@@ -9,10 +10,7 @@ word. Graphs are immutable; every mutator returns a new instance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from . import kernels
 
 MAX_VERTICES = 64
 
@@ -23,10 +21,6 @@ class GraphError(ValueError):
 
 class Graph6Error(GraphError):
     """Malformed graph6 record."""
-
-
-class LevelError(GraphError):
-    """A distance layering missed a vertex, or is deeper than its user allows."""
 
 
 def _check_pair(n, u, v):
@@ -234,47 +228,24 @@ class CyclePath(_CyclePathFields):
 CyclePath._trusted = functools.partial(tuple.__new__, CyclePath)
 
 
-@dataclass(frozen=True)
-class LevelPartition:
-    """Distance layering from a root: levels[0] is the closed neighborhood,
-    levels[i] the vertices at distance i+1, each an ascending vertex tuple;
-    `level_of[v]` is v's 1-based level."""
-
-    levels: tuple
-    level_of: tuple = field(repr=False)
-
-    def level(self, v):
-        return self.level_of[v]
-
-    @property
-    def depth(self):
-        return len(self.levels)
-
-
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------
 
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 record (N(x) header, column-major upper triangle,
-    6-bit chunks offset by 63)."""
+    6-bit chunks offset by 63). Column v, the pairs u-v with u < v, is the
+    low v bits of row v, row 0 first, as `from_graph6` reads it."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(g.adj[u] >> v & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr((bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
-             | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]) + 63)
-        for i in range(0, len(bits), 6)
-    )
-    return head + body
+    bits = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                   for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63)
+                          for i in range(0, len(bits), 6))
 
 
 # a graph6 body byte -> its six bits, most significant first
@@ -363,38 +334,3 @@ def write_graph6_file(path, graphs):
     with open(path, "w") as fh:
         for g in graphs:
             fh.write(to_graph6(g) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# traversal
-# ---------------------------------------------------------------------------
-
-def contains_cycle(g: Graph, k):
-    """A witness k-cycle, or None: the least (k-1)-path joining the ends of
-    the first edge, in `edges()` order, that lies on a k-cycle
-    (`kernels.least_cycle`)."""
-    cycle = kernels.least_cycle(g.adj, k)
-    return CyclePath._trusted((cycle, "cycle")) if cycle is not None else None
-
-
-def bfs_levels(g: Graph, root) -> LevelPartition:
-    """Strict distance layering: V_1 = N[root], V_i = distance-i vertices.
-
-    Raises LevelError when a vertex is unreachable; callers bound the depth.
-    """
-    if not 0 <= root < g.n:
-        raise GraphError(f"vertex {root} outside 0..{g.n - 1}")
-    adj = g.adj
-    frontier = seen = adj[root] | 1 << root  # root and its neighbors share V_1
-    levels, level_of = [], [0] * g.n
-    while frontier:
-        levels.append(tuple(vertex_list(frontier)))
-        nxt = 0
-        for v in levels[-1]:
-            nxt |= adj[v]
-            level_of[v] = len(levels)
-        frontier = nxt & ~seen
-        seen |= frontier
-    if seen != (1 << g.n) - 1:
-        raise LevelError("graph is disconnected from the root")
-    return LevelPartition(tuple(levels), tuple(level_of))

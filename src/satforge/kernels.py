@@ -21,9 +21,9 @@ lexicographically least u-v path.
   n - 1 down and stops at the first miss.
 - The walk never reaches u, so a path query with u == v finds nothing.
   Cycles go through :func:`least_cycle` alone, behind
-  :func:`saturation_scan` and ``graph.contains_cycle``: a cycle of k edges
-  through u is a path of k - 1 edges from u to a neighbor of u, closed by
-  the edge back. It walks from each u into its neighbors above u, with the
+  :func:`saturation_scan` and ``saturation.contains_cycle``: a cycle of k
+  edges through u is a path of k - 1 edges from u to a neighbor of u,
+  closed by the edge back. It walks from each u into its neighbors above u, with the
   vertices below u banned: the least vertex of a k-cycle is such a u, and
   its cycles use no vertex below it. It walks each such cycle one way: it
   enters each first vertex a itself, then walks on only into the targets

@@ -35,6 +35,8 @@ by parent index, keeping the first child met per canonical code, the shares
 give the same representatives in the same order as one sequential pass, so
 `nodes`, the level sizes and the graph6 output do not depend on the CPU
 count.
+
+The module enumerates and writes no file: `satforge.cli` saves the results.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
-from pathlib import Path
 
 from . import kernels
-from .graph import Graph, GraphError, vertex_list, write_graph6_file
+from .graph import Graph, GraphError, vertex_list
 from .saturation import leaf_obstruction
 
 MAX_CANON_VERTICES = 16
@@ -711,34 +712,3 @@ def enumerate_saturated(n: int, k: int, budget_nodes=None,
     result.nodes = budget.spent
     result.elapsed = time.monotonic() - start
     return result
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-RESULTS_DIR = Path("search-results")  # relative to the working directory
-
-
-def result_path(n: int, k: int, outdir=RESULTS_DIR) -> Path:
-    """The file that holds the minimum C_k-saturated graphs on n vertices."""
-    return Path(outdir) / f"sat_{n}_{k}.g6"
-
-
-def save_result(result: SearchResult, outdir) -> Path:
-    """Write the minimum graphs to `result_path` under `outdir`."""
-    path = result_path(result.n, result.k, outdir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_graph6_file(path, result.graphs)
-    return path
-
-
-def summary_table(results) -> str:
-    lines = [f"{'n':>4} {'k':>3} {'sat':>5} {'classes':>8} {'status':>18} {'nodes':>10}"]
-    for r in results:
-        sat = r.min_edges if r.min_edges is not None else "-"
-        lines.append(
-            f"{r.n:>4} {r.k:>3} {sat!s:>5} {len(r.graphs):>8} "
-            f"{r.status:>18} {r.nodes:>10}"
-        )
-    return "\n".join(lines)

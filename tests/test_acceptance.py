@@ -15,9 +15,15 @@ from satforge.construction import (
     lower_bound_edges,
     upper_bound_edges,
 )
-from satforge.discharging import audit, charge_identity_holds, choose_root
-from satforge.graph import Graph, bfs_levels
-from satforge.saturation import check_saturated, t_sets
+from satforge.discharging import (
+    audit,
+    bfs_levels,
+    charge_identity_holds,
+    choose_root,
+    t_sets,
+)
+from satforge.graph import Graph
+from satforge.saturation import check_saturated
 from satforge.search import are_isomorphic, enumerate_saturated
 from tests.conftest import failures_of, random_connected_graph, star_graph
 

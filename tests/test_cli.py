@@ -373,6 +373,7 @@ LOADED = ("import sys; from satforge.cli import main; code = main(sys.argv[1:]);
     (["check", "{g9}"], []),
     (["audit", "{g9}"], ["satforge.discharging"]),
     (["search", "--n", "5", "--k", "3", "--out", "{tmp}"], ["satforge.search"]),
+    (["table", "--n-range", "9..10"], []),
 ])
 def test_command_loads_only_what_it_uses(tmp_path, argv, loaded):
     g9 = tmp_path / "g9.g6"

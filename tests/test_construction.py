@@ -8,7 +8,8 @@ from satforge.construction import (
     lower_bound_edges,
     upper_bound_edges,
 )
-from satforge.saturation import SaturationReport, check_saturated, t_sets, theta_classes
+from satforge.discharging import t_sets, theta_classes
+from satforge.saturation import SaturationReport, check_saturated
 
 
 class TestCore:

@@ -16,6 +16,7 @@ from satforge.discharging import (
     _check_observations,
     _four_cycles_through,
     audit,
+    bfs_levels,
     charge_identity_holds,
     choose_root,
     classify,
@@ -25,9 +26,10 @@ from satforge.discharging import (
     render_stage_table,
     stage_one,
     stage_two,
+    t_sets,
 )
-from satforge.graph import Graph, bfs_levels, from_graph6
-from satforge.saturation import PreconditionError, is_saturated_fast, t_sets
+from satforge.graph import Graph, from_graph6
+from satforge.saturation import PreconditionError, is_saturated_fast
 from tests.conftest import (
     CHECK_MESSAGES,
     complete_graph,
@@ -292,12 +294,8 @@ class TestAudit:
     def test_t_sets_once_per_audited_graph(self, monkeypatch):
         # the T-sets of the input, and of the reduced graph where the
         # no-good-root branch needs them, each computed once
-        from satforge import saturation
-
         calls = []
-        t_sets = saturation.t_sets
         counted = lambda g: calls.append(g.adj) or t_sets(g)  # noqa: E731
-        monkeypatch.setattr(saturation, "t_sets", counted)
         monkeypatch.setattr(discharging, "t_sets", counted)
         seen = 0
         for g in [build_construction(11)[0], *_pinned_graphs()]:
@@ -310,8 +308,6 @@ class TestAudit:
     def test_degree_sum_gets_the_audited_graphs_t1(self, monkeypatch):
         # the no-good-root branch passes the T_1 of the graph it bounds:
         # the input's, or the reduced graph's after a T_2 removal
-        from satforge.saturation import t_sets
-
         calls = []
         holds = discharging.degree_sum_holds
 

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satforge import kernels
+from satforge.discharging import LevelError, bfs_levels
 from satforge.graph import (
     CyclePath,
     Graph,
     Graph6Error,
     GraphError,
-    LevelError,
-    bfs_levels,
-    contains_cycle,
     from_graph6,
     read_graph6_file,
     to_graph6,
 )
+from satforge.saturation import contains_cycle
 from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
 
 

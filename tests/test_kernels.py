@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 import satforge
 from satforge import kernels
 from satforge.construction import build_construction
-from satforge.graph import Graph, contains_cycle, to_graph6
-from satforge.saturation import check_saturated
+from satforge.graph import Graph, to_graph6
+from satforge.saturation import check_saturated, contains_cycle
 from tests.conftest import complete_graph, cycle_graph, path_graph
 
 
@@ -560,6 +560,7 @@ def test_import_leaves_audit_and_search_unloaded():
         "assert all(n in globals() for n in satforge.__all__); "
         "assert set(satforge.__all__) <= set(dir(satforge)); "
         "assert satforge.audit is satforge.discharging.audit; "
+        "assert satforge.LevelPartition is satforge.discharging.LevelPartition; "
         "assert satforge.enumerate_saturated is satforge.search.enumerate_saturated; "
         "satforge.no_such_name")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -10,17 +10,19 @@ import pytest
 
 from satforge import kernels
 from satforge.construction import build_construction
-from satforge.graph import CyclePath, Graph, to_graph6
-from satforge.saturation import (
+from satforge.discharging import (
     BookkeepingError,
-    PreconditionError,
-    check_saturated,
     degree_sum_holds,
-    is_saturated_fast,
-    leaf_obstruction,
     reduce_t2,
     t_sets,
     theta_classes,
+)
+from satforge.graph import CyclePath, Graph, to_graph6
+from satforge.saturation import (
+    PreconditionError,
+    check_saturated,
+    is_saturated_fast,
+    leaf_obstruction,
 )
 from satforge.search import are_isomorphic
 from tests.conftest import (

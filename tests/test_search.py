@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 
 from satforge import kernels, search
+from satforge.cli import save_result, summary_table
 from satforge.graph import Graph, from_graph6, read_graph6_file, to_graph6, vertex_list
 from satforge.search import (
     BudgetExhausted,
@@ -25,8 +26,6 @@ from satforge.search import (
     canonical_form,
     canonical_graph,
     enumerate_saturated,
-    save_result,
-    summary_table,
 )
 from tests.conftest import complete_graph, cycle_graph, path_graph, star_graph
 
