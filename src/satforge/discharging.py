@@ -91,15 +91,19 @@ def exact_sum(values):
 class ChargeLedger:
     """The charges of one audit, stage by stage, over a distance layering.
 
-    Level and class queries run on bitmasks. The ledger builds one vertex
-    mask per level once, and `set_classes` one per class tag each time the
-    classes are set, so the level-i neighbors of x in the classes `tags` are
-    the bits of ``adj[x] & level_mask & class_mask``. Set the classes through
-    `set_classes` (as `classify` does): assigning `classes` directly leaves
-    the class masks stale. Levels and neighbors are listed in ascending
-    order, on which the order of transfers, failures and diagnostics depends.
-    Each stage's sum outside V_1 is computed once, since no stage dict
-    changes after it is stored.
+    The ledger sorts each vertex's neighbors by level once, in one pass
+    over its row, into at most three lists with their bitmasks: a neighbor
+    of x lies one level below x, on x's level or one level above. Every
+    level query reads that table. The lists are shared, not copied: they
+    are read-only, and every caller in this module only reads them.
+    `set_classes` builds one vertex mask per class tag each time the
+    classes are set, so the level-i neighbors of x in the classes `tags`
+    are the bits of x's level-i mask and the class mask. Set the classes
+    through `set_classes` (as `classify` does): assigning `classes`
+    directly leaves the class masks stale. Levels and neighbors are listed
+    in ascending order, on which the order of transfers, failures and
+    diagnostics depends. Each stage's sum outside V_1 is computed once,
+    since no stage dict changes after it is stored.
     """
 
     graph: Graph
@@ -107,13 +111,26 @@ class ChargeLedger:
     stages: dict = field(default_factory=dict)  # name -> {vertex: Fraction}
     classes: dict = field(default_factory=dict)  # vertex -> "-1"|"-2"|"1"|"2"
     diagnostics: list = field(default_factory=list)
-    _level_masks: dict = field(init=False, repr=False, compare=False)
+    _nbrs: list = field(init=False, repr=False, compare=False)
     _class_masks: dict = field(init=False, repr=False, compare=False)
     _outer_sums: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._level_masks = {i: sum(1 << v for v in level)
-                             for i, level in enumerate(self.partition.levels, 1)}
+        level_of = self.partition.level_of
+        self._nbrs = nbrs = []
+        for row in self.graph.adj:
+            at = {}  # level i -> [the level-i neighbors, ascending, their mask]
+            while row:
+                low = row & -row
+                row ^= low
+                w = low.bit_length() - 1
+                entry = at.get(level_of[w])
+                if entry is None:
+                    at[level_of[w]] = [[w], low]
+                else:
+                    entry[0].append(w)
+                    entry[1] |= low
+            nbrs.append(at)
         self._outer_sums = {}  # stage name -> (its dict, the sum)
         self.set_classes(self.classes)
 
@@ -144,18 +161,16 @@ class ChargeLedger:
         return ()
 
     def nbrs_at(self, x, i):
-        return vertex_list(self.graph.adj[x] & self._level_masks.get(i, 0))
+        return self._nbrs[x].get(i, _NONE)[0]
 
     def n_at(self, x, i):
-        return (self.graph.adj[x] & self._level_masks.get(i, 0)).bit_count()
+        return len(self._nbrs[x].get(i, _NONE)[0])
 
     def nbrs_class(self, x, i, tags):
-        return vertex_list(self.graph.adj[x] & self._level_masks.get(i, 0)
-                           & self._class_mask(tags))
+        return vertex_list(self._nbrs[x].get(i, _NONE)[1] & self._class_mask(tags))
 
     def n_class(self, x, i, tags):
-        return (self.graph.adj[x] & self._level_masks.get(i, 0)
-                & self._class_mask(tags)).bit_count()
+        return (self._nbrs[x].get(i, _NONE)[1] & self._class_mask(tags)).bit_count()
 
     def outer_sum(self, stage):
         charges = self.stages[stage]
@@ -169,6 +184,8 @@ class ChargeLedger:
     def flag(self, msg):
         self.diagnostics.append(msg)
 
+
+_NONE = ([], 0)  # no neighbor on a level: the shared empty list and mask
 
 MINUS = ("-1", "-2")
 PLUS = ("1", "2")
@@ -222,11 +239,12 @@ def bfs_levels(g: Graph, root) -> LevelPartition:
 # structural vertex sets
 # ---------------------------------------------------------------------------
 
-def _degree_two(g):
-    """(v, a, b) for each degree-2 vertex v, with neighbors a < b."""
-    for v in range(g.n):
-        if g.degree(v) == 2:
-            yield (v, *g.neighbors(v))
+def _degree_two(adj):
+    """(v, a, b) for each degree-2 vertex v of the rows `adj`, with
+    neighbors a < b."""
+    for v, row in enumerate(adj):
+        if row.bit_count() == 2:
+            yield v, (row & -row).bit_length() - 1, row.bit_length() - 1
 
 
 def t_sets(g: Graph) -> tuple:
@@ -235,10 +253,11 @@ def t_sets(g: Graph) -> tuple:
     A degree-2 vertex lies in a triangle iff its two neighbors are adjacent.
     The degree-2 vertices outside T are the good roots, `theta_classes`'
     keys."""
+    adj = g.adj
     t1, t2 = set(), set()
-    for v, a, b in _degree_two(g):
-        if g.has_edge(a, b):
-            (t2 if 2 in (g.degree(a), g.degree(b)) else t1).add(v)
+    for v, a, b in _degree_two(adj):
+        if adj[a] >> b & 1:
+            (t2 if 2 in (adj[a].bit_count(), adj[b].bit_count()) else t1).add(v)
     return frozenset(t1), frozenset(t2)
 
 
@@ -274,12 +293,12 @@ def theta_classes(g: Graph) -> dict:
     """
     adj = g.adj
     classes = {}
-    for v, a, b in _degree_two(g):
+    for v, a, b in _degree_two(adj):
         if adj[a] >> b & 1:
             continue  # v lies in a triangle: not a good root
         c4 = adj[a] & adj[b] & ~(1 << v)
         c5 = chorded = False
-        for x in g.neighbors(a):
+        for x in vertex_list(adj[a]):
             if x == v:
                 continue
             ys = adj[x] & adj[b] & ~(1 << v | 1 << a)
@@ -361,19 +380,22 @@ def level_charges(g: Graph, root: int):
     """Layer from an arbitrary root and assign the initial charge.
 
     A vertex with `down` neighbors one level nearer the root and `within` in
-    its own level gets down + within/2 - 4/3, built in sixths as one
-    `Fraction`; V_1 has no level below it, so its `down` is 0. Raises
-    LevelError when a vertex is unreachable or deeper than the five levels
-    the stages use.
+    its own level gets down + within/2 - 4/3, built in sixths, with one
+    `Fraction` shared by the vertices of each value; V_1 has no level below
+    it, so its `down` is 0. Raises LevelError when a vertex is unreachable
+    or deeper than the five levels the stages use.
     """
     part = bfs_levels(g, root)
     if part.depth > 5:
         raise LevelError(f"vertex at distance {part.depth} exceeds max level 5")
     ledger = ChargeLedger(g, part)
-    charges = {}
-    for v in range(g.n):
-        i = part.level(v)
-        charges[v] = F(6 * ledger.n_at(v, i - 1) + 3 * ledger.n_at(v, i) - 8, 6)
+    charges, values = {}, {}  # values: charge in sixths -> its Fraction
+    for v, i in enumerate(part.level_of):
+        sixths = 6 * ledger.n_at(v, i - 1) + 3 * ledger.n_at(v, i) - 8
+        c = values.get(sixths)
+        if c is None:
+            c = values[sixths] = F(sixths, 6)
+        charges[v] = c
     ledger.stages["g"] = charges
     return ledger
 

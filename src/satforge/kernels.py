@@ -29,6 +29,17 @@ lexicographically least u-v path.
   enters each first vertex a itself, then walks on only into the targets
   below a.
 
+Labels. Only :func:`saturation_scan`, the audit's certifying scan,
+relabels: it runs :func:`witness_scan` on the rows sorted by ascending
+degree, so that each non-edge is walked from its end of lower degree and
+hubs are entered last; a yes-or-no answer does not depend on the labels.
+The rest keep the input labels. The witnesses of
+``saturation.check_saturated`` and the cycle of :func:`least_cycle` are the
+least ones in those labels, so a relabelled walk would find others. The
+search's own :func:`witness_scan` calls run on small graphs, where the
+relabelling cost more than it saved (10.0 -> 15.0 ms over the 1,364 scans
+of one n = 9 search).
+
 Pruning. Call a vertex allowed when it may be inner: neither banned nor u.
 Let U[0] = T, and let U[j+1] be the allowed vertices of the union of adj[x]
 over the vertices x of U[j]. From an inner vertex w with j edges still to
@@ -275,7 +286,35 @@ def witness_scan(adj, k) -> bool:
     return True
 
 
+def _degree_sorted(adj):
+    """A copy of the rows relabelled by a stable ascending-degree sort: the
+    i-th vertex of that order becomes vertex i."""
+    order = sorted(range(len(adj)), key=lambda v: adj[v].bit_count())
+    bit = [0] * len(adj)  # bit[v]: v's new label as a one-bit mask
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    rows = []
+    for v in order:
+        row, new = adj[v], 0
+        while row:
+            low = row & -row
+            row ^= low
+            new |= bit[low.bit_length() - 1]
+        rows.append(new)
+    return rows
+
+
 def saturation_scan(adj, k) -> bool:
     """True iff the graph is C_k-saturated: C_k-free, with a witness path
-    for every non-edge."""
-    return least_cycle(adj, k) is None and witness_scan(adj, k)
+    for every non-edge.
+
+    :func:`least_cycle` runs on the input rows, :func:`witness_scan` on a
+    copy relabelled in ascending degree order (:func:`_degree_sorted`).
+    Whether every non-edge has a witness does not depend on the labels,
+    and after the relabelling each non-edge (u, v > u) is walked from its
+    end of lower degree, and the walk tries hubs last.  On the audit's
+    inputs, where a few hubs meet many vertices of degree 2 or 3, that
+    about halves the four-edge body's middle loops on the family and cuts
+    them by a quarter on random saturated graphs, for one pass over the
+    rows."""
+    return least_cycle(adj, k) is None and witness_scan(_degree_sorted(adj), k)

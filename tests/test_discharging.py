@@ -198,6 +198,14 @@ class TestLevelQueries:
             checked += 1
         assert checked == 64
 
+    def test_match_on_the_family(self):
+        # deep layers and two hubs, up to n = 64: the full-branch ledgers
+        # of the family members n = 9..64
+        for n in range(9, 65):
+            a = audit(build_construction(n)[0])
+            assert a.branch == "full"
+            _assert_queries_match(a.ledger)
+
     def test_classify_again_rebuilds_the_class_masks(self):
         # swap the 1/6 and 2/3 charges below V_1, so that classes "1" and "2"
         # trade places, after the queries have been answered (and cached)

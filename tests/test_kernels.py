@@ -446,6 +446,36 @@ def c6_free_graphs(count=30, n_max=8, seed=0x5A7):
     return out
 
 
+def test_saturation_scan_walks_rows_sorted_by_degree():
+    # the witness scan gets a relabelled copy: ascending degrees, the same
+    # graph up to labels, and so the same answer as on the input rows
+    inputs = [(g.adj, k) for g, _ in GRAPHS for k in range(3, 8)]
+    inputs += [(g.adj, 6) for g in c6_free_graphs()]
+    inputs += [(build_construction(n)[0].adj, 6) for n in range(9, 65)]
+    scan = kernels.witness_scan
+    seen = []
+
+    def spy(rows, k):
+        seen.append(rows)
+        return scan(rows, k)
+
+    scanned = 0
+    with mock.patch.object(kernels, "witness_scan", spy):
+        for adj, k in inputs:
+            seen.clear()
+            answer = kernels.saturation_scan(adj, k)
+            if not seen:
+                continue  # not C_k-free: no witness scan ran
+            (rows,) = seen
+            degrees = [row.bit_count() for row in rows]
+            assert degrees == sorted(degrees)
+            assert degrees == sorted(row.bit_count() for row in adj)
+            assert Graph(len(rows), rows).edge_count == Graph(len(adj), adj).edge_count
+            assert answer == scan(rows, k) == scan(adj, k)
+            scanned += 1
+    assert scanned > 56
+
+
 def test_contains_cycle_witness_is_least_path_of_first_cycle_edge(path_table):
     # the least (k-1)-path of the first edge, in edges() order, on a k-cycle
     cases = [(g, lambda u, v, length, i=i: path_table[i, u, v, length])

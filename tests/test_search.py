@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import os
 import random
 import threading
@@ -485,6 +486,47 @@ class TestEnumeration:
                 assert res.status == "complete"
                 for m, size in res.level_sizes.items():
                     assert size == free[n, m], (n, k, m)
+
+    def test_levels_satisfy_the_orbit_count_identity(self):
+        # every level up to the last, past the sat level: the labeled
+        # C_k-free graphs with m edges number n!/|Aut(G)| summed over the
+        # classes G of level m, |Aut(G)| taken as the order of the group the
+        # labeler's generators generate; a lost class, a duplicate or a
+        # missing generator breaks the sum
+        for n in range(1, 7):
+            for k in (4, 5, 6):
+                orbits = Counter()
+                level, m = level_at(n, k, 0), 0
+                while level:
+                    for _, packed in level.values():
+                        perms = [packed[s:s + n] for s in range(0, len(packed), n)]
+                        orbits[m] += math.factorial(n) // group_order(n, perms)
+                    level, _ = _next_level(level, k, _Budget(None, None))
+                    m += 1
+                assert orbits == labeled_ck_free_counts(n, k), (n, k)
+
+
+def labeled_ck_free_counts(n, k):
+    """The labeled C_k-free graphs on n vertices, counted by edges, from a
+    DFS over edge subsets in index order: a pair is added unless a path of
+    k - 1 edges already joins its ends, which would close a k-cycle."""
+    pairs = list(itertools.combinations(range(n), 2))
+    adj = [0] * n
+    counts = Counter()
+
+    def extend(start, m):
+        counts[m] += 1
+        for j in range(start, len(pairs)):
+            u, v = pairs[j]
+            if not kernels.has_path(adj, u, v, k - 1):
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                extend(j + 1, m + 1)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+
+    extend(0, 0)
+    return counts
 
 
 def assert_no_children():
