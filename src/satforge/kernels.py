@@ -30,10 +30,10 @@ lexicographically least u-v path.
   below a.
 
 Labels. Only :func:`saturation_scan`, the audit's certifying scan,
-relabels: it runs :func:`witness_scan` on the rows sorted by ascending
-degree, so that each non-edge is walked from its end of lower degree and
-hubs are entered last; a yes-or-no answer does not depend on the labels.
-The rest keep the input labels. The witnesses of
+relabels: it runs :func:`witness_scan` on the rows of its quotient (see
+Threads) sorted by ascending degree, so that each non-edge is walked from
+its end of lower degree and hubs are entered last; a yes-or-no answer does
+not depend on the labels. The rest keep the input labels. The witnesses of
 ``saturation.check_saturated`` and the cycle of :func:`least_cycle` are the
 least ones in those labels, so a relabelled walk would find others. The
 search's own :func:`witness_scan` calls run on small graphs, where the
@@ -73,6 +73,36 @@ row more each source in :func:`witness_scan`, which walks down), where the
 targets' own union costs a row for each target. Every later
 mask holds every vertex: u and the path are in the visited mask, which
 every candidate test removes, and nothing is banned.
+
+Threads. Call a path whose inner vertices all have degree 2, between two
+distinct ends, a thread, and the threads with the same two ends and the
+same length a class. Two threads of one class share no inner vertex: from a
+shared one, both run along the same degree-2 vertices to the same ends.
+So swapping two threads of one class, inner vertex for inner vertex from
+the same end, is an automorphism that fixes every other vertex. The
+quotient is the graph induced on the input less the inner vertices of every
+thread beyond the first three of each class. For every k, it has a witness
+for each of its non-edges iff the input has one for each of its own:
+
+- If the input has them, let P be a witness for a non-edge uv of the
+  quotient. If P meets an inner vertex of a dropped thread, it runs that
+  thread's full length, because the thread's inner vertices have degree 2
+  and u and v are not among them. A simple path meets each end once, so P
+  runs the full length of at most one thread of that class, and it touches
+  no other thread of the class but the ones that hold u and v. One of the
+  three kept threads is therefore untouched: swapping it with the dropped
+  one fixes u and v, maps P to a witness off the dropped thread, and moves
+  no thread of another class. Class by class, P maps into the quotient.
+- If the quotient has them, let uv be a non-edge of the input. Swap each
+  dropped thread that holds u or v with a kept thread of its class that
+  holds neither, two distinct kept ones when u and v lie on two dropped
+  threads of one class. That maps uv onto a non-edge of the quotient, and
+  the inverse swap maps its witness back to a witness for uv.
+
+:func:`saturation_scan` walks the quotient. The family member n >= 18 has
+n // 3 - 2 threads of four edges between its two hubs, the core's and the
+pendant paths, so its quotient keeps 15 + n mod 3 vertices: its scan stops
+growing with n. A graph with no class of four threads is its own quotient.
 """
 
 from __future__ import annotations
@@ -286,35 +316,86 @@ def witness_scan(adj, k) -> bool:
     return True
 
 
-def _degree_sorted(adj):
-    """A copy of the rows relabelled by a stable ascending-degree sort: the
-    i-th vertex of that order becomes vertex i."""
-    order = sorted(range(len(adj)), key=lambda v: adj[v].bit_count())
-    bit = [0] * len(adj)  # bit[v]: v's new label as a one-bit mask
+def _surplus_threads(adj) -> int:
+    """The mask of inner vertices of every thread beyond the first three of
+    its class (see Threads in the module docstring); 0 when no class has
+    four.
+
+    No class has two threads of one edge, so only a vertex with at least
+    four degree-2 neighbours can end a class of four. Each such u walks
+    from each of them, in ascending order, along degree-2 vertices to the
+    first vertex of another degree, the thread's other end; a walk back to
+    u is a cycle, not a thread. Each thread is counted from its lower end
+    alone, and the threads of a class in the order of their first inner
+    vertices."""
+    deg2 = 0
+    for v, row in enumerate(adj):
+        if row.bit_count() == 2:
+            deg2 |= 1 << v
+    surplus = 0
+    for u, row in enumerate(adj):
+        legs = row & deg2
+        if legs.bit_count() < 4:  # no class of four ends at u
+            continue
+        u_bit = 1 << u
+        counts = {}  # (end, vertex count) -> threads counted so far
+        while legs:
+            low = legs & -legs
+            legs ^= low
+            step, seen = low, low | u_bit
+            while step & deg2:  # step: the walk's newest vertex, one bit
+                step = adj[step.bit_length() - 1] & ~seen
+                seen |= step
+            if step > u_bit:  # not a cycle back to u, nor counted from below
+                key = (step, seen.bit_count())
+                count = counts[key] = counts.get(key, 0) + 1
+                if count > 3:
+                    surplus |= seen ^ step ^ u_bit
+    return surplus
+
+
+def _degree_sorted(adj, kept):
+    """The rows of the vertices of the mask `kept`, each less its neighbours
+    outside it, relabelled by a stable ascending-degree sort of those rows:
+    the i-th vertex of that order becomes vertex i. A mask that keeps
+    every vertex copies no row before the sort."""
+    n = len(adj)
+    rows, vertices = adj, range(n)
+    if ~kept & ((1 << n) - 1):
+        rows = [row & kept for row in adj]
+        vertices = [v for v in vertices if kept >> v & 1]
+    degree = [row.bit_count() for row in rows]
+    order = sorted(vertices, key=degree.__getitem__)
+    bit = [0] * n  # bit[v]: v's new label as a one-bit mask
     for i, v in enumerate(order):
         bit[v] = 1 << i
-    rows = []
+    out = []
     for v in order:
-        row, new = adj[v], 0
+        row, new = rows[v], 0
         while row:
             low = row & -row
             row ^= low
             new |= bit[low.bit_length() - 1]
-        rows.append(new)
-    return rows
+        out.append(new)
+    return out
 
 
 def saturation_scan(adj, k) -> bool:
     """True iff the graph is C_k-saturated: C_k-free, with a witness path
     for every non-edge.
 
-    :func:`least_cycle` runs on the input rows, :func:`witness_scan` on a
-    copy relabelled in ascending degree order (:func:`_degree_sorted`).
+    :func:`least_cycle` runs on the input rows. :func:`witness_scan` runs
+    on the quotient that keeps the first three threads of each class
+    (:func:`_surplus_threads`), which has a witness for every non-edge iff
+    the input does (see Threads in the module docstring), relabelled in
+    ascending degree order (:func:`_degree_sorted`).
+
     Whether every non-edge has a witness does not depend on the labels,
     and after the relabelling each non-edge (u, v > u) is walked from its
     end of lower degree, and the walk tries hubs last.  On the audit's
     inputs, where a few hubs meet many vertices of degree 2 or 3, that
-    about halves the four-edge body's middle loops on the family and cuts
-    them by a quarter on random saturated graphs, for one pass over the
-    rows."""
-    return least_cycle(adj, k) is None and witness_scan(_degree_sorted(adj), k)
+    about halved the four-edge body's middle loops on the unreduced family
+    and cut them by a quarter on random saturated graphs, for one pass
+    over the rows."""
+    return least_cycle(adj, k) is None and witness_scan(
+        _degree_sorted(adj, ~_surplus_threads(adj)), k)

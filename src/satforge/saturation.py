@@ -76,6 +76,8 @@ def check_saturated(g: Graph, k: int) -> SaturationReport:
 
 def is_saturated_fast(g: Graph, k: int) -> bool:
     """Saturation test that builds no witnesses: the kernels' existence scan."""
+    if k < 3:
+        raise PreconditionError("cycle length must be at least 3")
     return kernels.saturation_scan(g.adj, k)
 
 

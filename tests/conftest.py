@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -101,3 +102,28 @@ def process_graphs():
 @pytest.fixture()
 def rng():
     return random.Random(0xC6)
+
+
+def surplus_thread_count(adj):
+    """How many vertices the saturation scan's quotient drops, found apart
+    from the kernels: each component of the degree-2 vertices with exactly
+    two neighbours outside it is the inner part of a thread between them,
+    and a class of c threads (same ends, same length) drops c - 3 of them."""
+    n = len(adj)
+    nbrs = [{w for w in range(n) if adj[v] >> w & 1} for v in range(n)]
+    deg2 = {v for v in range(n) if len(nbrs[v]) == 2}
+    classes = collections.Counter()
+    seen = set()
+    for x in deg2:
+        if x in seen:
+            continue
+        comp, stack = {x}, [x]
+        while stack:
+            for w in (nbrs[stack.pop()] & deg2) - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        ends = set().union(*(nbrs[v] for v in comp)) - comp
+        if len(ends) == 2:
+            classes[frozenset(ends), len(comp)] += 1
+    return sum(max(c - 3, 0) * inner for (_, inner), c in classes.items())

@@ -38,6 +38,7 @@ from tests.conftest import (
     path_graph,
     process_graphs,
     random_connected_graph,
+    surplus_thread_count,
 )
 
 
@@ -367,23 +368,34 @@ class TestAudit:
 
     def test_no_good_root_branch_adds_no_scan(self, monkeypatch):
         calls = {"least_cycle": [], "witness_scan": [], "least_paths": []}
+        cycle_rows = []
         for name in calls:
             def counted(adj, *args, name=name, scan=getattr(kernels, name)):
                 calls[name].append(len(adj))
+                if name == "least_cycle":
+                    cycle_rows.append(adj)
                 return scan(adj, *args)
             monkeypatch.setattr(kernels, name, counted)
-        seen = 0
+        seen = quotients = 0
         for g in _pinned_graphs():
             for sizes in calls.values():
                 sizes.clear()
+            cycle_rows.clear()
             a = audit(g)
             # one witness walk from each T_2 vertex, on the input, then one
-            # saturation scan (a cycle walk and a witness scan) of the graph
-            # less T_2, the one the branches run on
-            assert calls["least_cycle"] == calls["witness_scan"] == [a.n], a.branch
+            # saturation scan of the graph less T_2, the one the branches
+            # run on: a cycle walk on its rows and a witness scan of its
+            # quotient, less the inner vertices of all but three threads of
+            # each class
+            assert calls["least_cycle"] == [a.n], a.branch
+            dropped = surplus_thread_count(cycle_rows[0])
+            assert calls["witness_scan"] == [a.n - dropped], a.branch
             assert len(calls["least_paths"]) == a.reduced_t2, a.branch
             seen += a.branch == "no-good-root"
-        assert seen == 5
+            quotients += dropped > 0
+        # the family members n = 18..40 and one process graph have a class
+        # of four threads
+        assert seen == 5 and quotients == 40 - 18 + 2
 
     def test_rejects_exactly_the_unsaturated(self):
         # with a pendant triangle hung on, most inputs have T_2 vertices and

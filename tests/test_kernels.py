@@ -26,7 +26,8 @@ from satforge import kernels
 from satforge.construction import build_construction
 from satforge.graph import Graph, to_graph6
 from satforge.saturation import check_saturated, contains_cycle
-from tests.conftest import complete_graph, cycle_graph, path_graph
+from tests.conftest import (complete_graph, cycle_graph, path_graph,
+                            surplus_thread_count)
 
 
 def brute_paths(g, u, v, length):
@@ -447,8 +448,11 @@ def c6_free_graphs(count=30, n_max=8, seed=0x5A7):
 
 
 def test_saturation_scan_walks_rows_sorted_by_degree():
-    # the witness scan gets a relabelled copy: ascending degrees, the same
-    # graph up to labels, and so the same answer as on the input rows
+    # the witness scan gets a relabelled copy: ascending degrees, and the
+    # same graph up to labels when no class has four threads. The family
+    # member n >= 18 is scanned as its quotient, which has the degrees and
+    # edges of the member n' = 15 + n mod 3, whose three threads of four
+    # edges are the three that the quotient keeps
     inputs = [(g.adj, k) for g, _ in GRAPHS for k in range(3, 8)]
     inputs += [(g.adj, 6) for g in c6_free_graphs()]
     inputs += [(build_construction(n)[0].adj, 6) for n in range(9, 65)]
@@ -459,7 +463,7 @@ def test_saturation_scan_walks_rows_sorted_by_degree():
         seen.append(rows)
         return scan(rows, k)
 
-    scanned = 0
+    scanned = reduced = 0
     with mock.patch.object(kernels, "witness_scan", spy):
         for adj, k in inputs:
             seen.clear()
@@ -469,11 +473,76 @@ def test_saturation_scan_walks_rows_sorted_by_degree():
             (rows,) = seen
             degrees = [row.bit_count() for row in rows]
             assert degrees == sorted(degrees)
-            assert degrees == sorted(row.bit_count() for row in adj)
-            assert Graph(len(rows), rows).edge_count == Graph(len(adj), adj).edge_count
             assert answer == scan(rows, k) == scan(adj, k)
             scanned += 1
-    assert scanned > 56
+            if len(adj) >= 18 and adj == build_construction(len(adj))[0].adj:
+                small = build_construction(15 + len(adj) % 3)[0]
+                assert degrees == sorted(row.bit_count() for row in small.adj)
+                assert Graph(len(rows), rows).edge_count == small.edge_count
+                reduced += 1
+                continue
+            assert degrees == sorted(row.bit_count() for row in adj)
+            assert Graph(len(rows), rows).edge_count == Graph(len(adj), adj).edge_count
+    assert scanned > 56 and reduced == 64 - 18 + 1
+
+
+def threaded_graphs(count=150, seed=0x7E4D):
+    """Seeded graphs built from parallel threads on a random kernel of two
+    to five vertices: one class of four to six threads, up to two more
+    classes of one to five, now and then a cycle hung on one kernel vertex,
+    and a few random edges that may cut a thread short, under a random
+    labelling."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.randint(2, 5)
+        edges = [e for e in itertools.combinations(range(m), 2) if rng.random() < 0.5]
+        n = m
+        for size in [rng.randint(4, 6)] + [rng.randint(1, 5)
+                                           for _ in range(rng.randint(0, 2))]:
+            a, b = rng.sample(range(m), 2)
+            inner = rng.randint(1, 3)
+            for _ in range(size):
+                path = [a, *range(n, n + inner), b]
+                edges += zip(path, path[1:])
+                n += inner
+        if rng.random() < 0.3:
+            a = rng.randrange(m)
+            path = [a, n, n + 1, a]
+            edges += zip(path, path[1:])
+            n += 2
+        for _ in range(rng.randint(0, 2)):
+            edges.append(rng.sample(range(n), 2))
+        label = rng.sample(range(n), n)  # threads met in any order from either end
+        out.append(Graph.from_edges(n, [(label[u], label[v]) for u, v in edges]))
+    return out
+
+
+def test_saturation_scan_equals_unreduced_scan():
+    # the quotient has a witness for every non-edge iff the input does
+    # (kernels' Threads): the family at every k, the family's one-edge
+    # deletions and additions, and random graphs of parallel threads
+    inputs = [(build_construction(n)[0], k) for n in range(9, 65) for k in range(3, 9)]
+    for n in range(18, 25):
+        g = build_construction(n)[0]
+        inputs += [(g.without_edge(u, v), 6) for u, v in g.edges()]
+        inputs += [(g.with_edge(u, v), 6) for u, v in g.non_edges()]
+    inputs += [(g, k) for g in threaded_graphs() for k in range(3, 8)]
+    verdicts = collections.Counter()
+    for g, k in inputs:
+        witnessed = kernels.witness_scan(g.adj, k)  # on the input rows
+        want = kernels.least_cycle(g.adj, k) is None and witnessed
+        assert kernels.saturation_scan(g.adj, k) == want, (to_graph6(g), k)
+        dropped = kernels._surplus_threads(g.adj)
+        assert dropped.bit_count() == surplus_thread_count(g.adj), to_graph6(g)
+        if dropped:
+            # the lemma needs no C_k-freeness: the witness scans agree alone
+            quotient = kernels._degree_sorted(g.adj, ~dropped)
+            assert kernels.witness_scan(quotient, k) == witnessed, (to_graph6(g), k)
+            verdicts["saturation", want] += 1
+            verdicts["witnesses", witnessed] += 1
+    assert all(verdicts[test, verdict] for test in ("saturation", "witnesses")
+               for verdict in (True, False)), verdicts
 
 
 def test_contains_cycle_witness_is_least_path_of_first_cycle_edge(path_table):

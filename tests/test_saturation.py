@@ -124,8 +124,14 @@ class TestCheckSaturated:
         assert certificate_digest(reports) == CERTIFICATE_DIGEST
 
     def test_k_below_three_rejected(self):
-        with pytest.raises(PreconditionError):
-            check_saturated(path_graph(3), 2)
+        # no k below 3 is a cycle length: K_3, which has no non-edge, and
+        # P_3, which has one, are rejected alike
+        for g in (complete_graph(3), path_graph(3)):
+            for k in (0, 1, 2):
+                for check in (check_saturated, is_saturated_fast):
+                    with pytest.raises(PreconditionError,
+                                       match="cycle length must be at least 3"):
+                        check(g, k)
 
     def test_fast_path_agrees(self, rng):
         from tests.conftest import random_connected_graph
