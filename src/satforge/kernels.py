@@ -23,22 +23,20 @@ lexicographically least u-v path.
   Cycles go through :func:`least_cycle` alone, behind
   :func:`saturation_scan` and ``saturation.contains_cycle``: a cycle of k
   edges through u is a path of k - 1 edges from u to a neighbor of u,
-  closed by the edge back. It walks from each u into its neighbors above u, with the
-  vertices below u banned: the least vertex of a k-cycle is such a u, and
-  its cycles use no vertex below it. It walks each such cycle one way: it
-  enters each first vertex a itself, then walks on only into the targets
-  below a.
+  closed by the edge back. It walks from each u into its neighbors above
+  u, with the vertices below u banned: the least vertex of a k-cycle is
+  such a u, and its cycles use no vertex below it.
 
 Labels. Only :func:`saturation_scan`, the audit's certifying scan,
-relabels: it runs :func:`witness_scan` on the rows of its quotient (see
-Threads) sorted by ascending degree, so that each non-edge is walked from
-its end of lower degree and hubs are entered last; a yes-or-no answer does
-not depend on the labels. The rest keep the input labels. The witnesses of
-``saturation.check_saturated`` and the cycle of :func:`least_cycle` are the
-least ones in those labels, so a relabelled walk would find others. The
-search's own :func:`witness_scan` calls run on small graphs, where the
-relabelling cost more than it saved (10.0 -> 15.0 ms over the 1,364 scans
-of one n = 9 search).
+relabels: it runs :func:`least_cycle` and :func:`witness_scan` on one set
+of rows, its quotient (see Threads) sorted by ascending degree, so that
+each non-edge is walked from its end of lower degree and hubs are entered
+last; a yes-or-no answer does not depend on the labels. The rest keep the
+input labels. The witnesses of ``saturation.check_saturated`` and the cycle
+of ``saturation.contains_cycle`` are the least ones in those labels, so a
+relabelled walk would find others. The search's own :func:`witness_scan`
+calls run on small graphs, where the relabelling cost more than it saved
+(10.0 -> 15.0 ms over the 1,364 scans of one n = 9 search).
 
 Pruning. Call a vertex allowed when it may be inner: neither banned nor u.
 Let U[0] = T, and let U[j+1] be the allowed vertices of the union of adj[x]
@@ -79,30 +77,53 @@ distinct ends, a thread, and the threads with the same two ends and the
 same length a class. Two threads of one class share no inner vertex: from a
 shared one, both run along the same degree-2 vertices to the same ends.
 So swapping two threads of one class, inner vertex for inner vertex from
-the same end, is an automorphism that fixes every other vertex. The
+the same end, is an automorphism that fixes every other vertex. A path or
+cycle through an inner vertex of a thread, other than at a path's own
+ends, runs the thread's full length, as that vertex has degree 2. The
 quotient is the graph induced on the input less the inner vertices of every
 thread beyond the first three of each class. For every k, it has a witness
-for each of its non-edges iff the input has one for each of its own:
+for each of its non-edges iff the input has one for each of its own, and it
+is C_k-free iff the input is:
 
-- If the input has them, let P be a witness for a non-edge uv of the
-  quotient. If P meets an inner vertex of a dropped thread, it runs that
-  thread's full length, because the thread's inner vertices have degree 2
-  and u and v are not among them. A simple path meets each end once, so P
-  runs the full length of at most one thread of that class, and it touches
-  no other thread of the class but the ones that hold u and v. One of the
-  three kept threads is therefore untouched: swapping it with the dropped
-  one fixes u and v, maps P to a witness off the dropped thread, and moves
-  no thread of another class. Class by class, P maps into the quotient.
+- Let P be a witness of the input for a non-edge uv of the quotient. P
+  meets each end once, so it runs at most one thread of a class and
+  touches no other but the ones that hold u and v. One of the three kept
+  threads is therefore untouched: swapping it with a dropped one that P
+  runs fixes u and v and moves no thread of another class. Class by
+  class, P maps into the quotient.
 - If the quotient has them, let uv be a non-edge of the input. Swap each
   dropped thread that holds u or v with a kept thread of its class that
   holds neither, two distinct kept ones when u and v lie on two dropped
   threads of one class. That maps uv onto a non-edge of the quotient, and
   the inverse swap maps its witness back to a witness for uv.
+- A k-cycle of the quotient is one of the input. A k-cycle C of the input
+  meets each end once, so it runs at most two threads of a class and
+  touches no other. If it runs d dropped ones, it touches at most 2 - d
+  kept ones, so swapping each dropped one with a distinct untouched kept
+  one maps C, class by class, into the quotient.
 
-:func:`saturation_scan` walks the quotient. The family member n >= 18 has
-n // 3 - 2 threads of four edges between its two hubs, the core's and the
-pendant paths, so its quotient keeps 15 + n mod 3 vertices: its scan stops
-growing with n. A graph with no class of four threads is its own quotient.
+On a C_6-saturated graph each non-edge has a witness of 5 edges, which
+bounds the threads; the scan does not rely on these bounds.
+
+- (T1) A thread a-v_1-...-v_t-b has t <= 5: for t >= 3, a witness for the
+  non-edge v_1v_3 runs through a, an a-b path of L >= 1 edges off the
+  thread and v_t, ..., v_3, so 5 = 1 + L + t - 2 >= t. A loop thread, a
+  cycle through a whose other t vertices have degree 2, has t <= 2, which
+  makes it a pendant triangle, the audit's T_2 pair: two of its inner
+  vertices d apart are joined by paths of d and t + 1 - d edges only, so
+  t = 3 fails at d = 2, and t >= 4 needs t - 1 = 5 and t - 2 = 5 at once.
+- (T2) Two threads of one class have l <= 3 inner vertices, and l = 3 only
+  when their ends a and b are adjacent. a's neighbours v_1 and w_1 on them
+  are not adjacent, and a v_1-w_1 path runs through a (2 edges), through b
+  along both threads (2l edges, never 5), or along one thread, over an a-b
+  path of L >= 1 edges off both and back along the other (l + 1 + L
+  edges). So l + 1 + L = 5: l <= 3, and L = 1 when l = 3.
+
+:func:`saturation_scan` runs both walks on the quotient. The family member
+n >= 18 has n // 3 - 2 threads of four edges between its two hubs, the
+core's and the pendant paths, so its quotient keeps 15 + n mod 3 vertices:
+its scan stops growing with n. A graph with no class of four threads is its
+own quotient.
 """
 
 from __future__ import annotations
@@ -384,18 +405,13 @@ def saturation_scan(adj, k) -> bool:
     """True iff the graph is C_k-saturated: C_k-free, with a witness path
     for every non-edge.
 
-    :func:`least_cycle` runs on the input rows. :func:`witness_scan` runs
-    on the quotient that keeps the first three threads of each class
-    (:func:`_surplus_threads`), which has a witness for every non-edge iff
-    the input does (see Threads in the module docstring), relabelled in
-    ascending degree order (:func:`_degree_sorted`).
-
-    Whether every non-edge has a witness does not depend on the labels,
-    and after the relabelling each non-edge (u, v > u) is walked from its
-    end of lower degree, and the walk tries hubs last.  On the audit's
-    inputs, where a few hubs meet many vertices of degree 2 or 3, that
-    about halved the four-edge body's middle loops on the unreduced family
-    and cut them by a quarter on random saturated graphs, for one pass
-    over the rows."""
-    return least_cycle(adj, k) is None and witness_scan(
-        _degree_sorted(adj, ~_surplus_threads(adj)), k)
+    :func:`least_cycle` and :func:`witness_scan` run on one set of rows:
+    the quotient (:func:`_surplus_threads`, see Threads in the module
+    docstring), relabelled in ascending degree order
+    (:func:`_degree_sorted`, see Labels). On the audit's inputs, where a
+    few hubs meet many vertices of degree 2 or 3, the relabelling about
+    halved the four-edge body's middle loops on the unreduced family and
+    cut them by a quarter on random saturated graphs, for one pass over the
+    rows."""
+    rows = _degree_sorted(adj, ~_surplus_threads(adj))
+    return least_cycle(rows, k) is None and witness_scan(rows, k)

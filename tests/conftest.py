@@ -104,11 +104,11 @@ def rng():
     return random.Random(0xC6)
 
 
-def surplus_thread_count(adj):
-    """How many vertices the saturation scan's quotient drops, found apart
-    from the kernels: each component of the degree-2 vertices with exactly
-    two neighbours outside it is the inner part of a thread between them,
-    and a class of c threads (same ends, same length) drops c - 3 of them."""
+def thread_classes(adj):
+    """The maximal threads and loop threads, found apart from the kernels,
+    as a Counter of (ends, inner vertex count): each component of the
+    degree-2 vertices that is a path is the inner part of a thread between
+    its two neighbours outside it, or of a loop thread when it has one."""
     n = len(adj)
     nbrs = [{w for w in range(n) if adj[v] >> w & 1} for v in range(n)]
     deg2 = {v for v in range(n) if len(nbrs[v]) == 2}
@@ -124,6 +124,13 @@ def surplus_thread_count(adj):
                 stack.append(w)
         seen |= comp
         ends = set().union(*(nbrs[v] for v in comp)) - comp
-        if len(ends) == 2:
+        if ends:  # a cycle of degree-2 vertices has none
             classes[frozenset(ends), len(comp)] += 1
-    return sum(max(c - 3, 0) * inner for (_, inner), c in classes.items())
+    return classes
+
+
+def surplus_thread_count(adj):
+    """How many vertices the saturation scan's quotient drops: a class of c
+    threads (same ends, same length) drops c - 3 of them."""
+    return sum(max(c - 3, 0) * inner
+               for (ends, inner), c in thread_classes(adj).items() if len(ends) == 2)

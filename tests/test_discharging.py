@@ -368,29 +368,26 @@ class TestAudit:
 
     def test_no_good_root_branch_adds_no_scan(self, monkeypatch):
         calls = {"least_cycle": [], "witness_scan": [], "least_paths": []}
-        cycle_rows = []
         for name in calls:
             def counted(adj, *args, name=name, scan=getattr(kernels, name)):
-                calls[name].append(len(adj))
-                if name == "least_cycle":
-                    cycle_rows.append(adj)
+                calls[name].append(adj)
                 return scan(adj, *args)
             monkeypatch.setattr(kernels, name, counted)
         seen = quotients = 0
-        for g in _pinned_graphs():
-            for sizes in calls.values():
-                sizes.clear()
-            cycle_rows.clear()
+        for g in [complete_graph(n) for n in (1, 2, 3)] + _pinned_graphs():
+            for rows in calls.values():
+                rows.clear()
             a = audit(g)
-            # one witness walk from each T_2 vertex, on the input, then one
-            # saturation scan of the graph less T_2, the one the branches
-            # run on: a cycle walk on its rows and a witness scan of its
+            # one saturation scan of the input, for every n and T_2: a cycle
+            # walk and a witness scan of one set of rows, the input's
             # quotient, less the inner vertices of all but three threads of
-            # each class
-            assert calls["least_cycle"] == [a.n], a.branch
-            dropped = surplus_thread_count(cycle_rows[0])
-            assert calls["witness_scan"] == [a.n - dropped], a.branch
-            assert len(calls["least_paths"]) == a.reduced_t2, a.branch
+            # each class; no walk from the T_2 vertices
+            assert calls["least_paths"] == [], a.branch
+            (cycle_rows,) = calls["least_cycle"]
+            (witness_rows,) = calls["witness_scan"]
+            assert witness_rows is cycle_rows, a.branch
+            dropped = surplus_thread_count(g.adj)
+            assert len(cycle_rows) == g.n - dropped, a.branch
             seen += a.branch == "no-good-root"
             quotients += dropped > 0
         # the family members n = 18..40 and one process graph have a class
@@ -398,12 +395,11 @@ class TestAudit:
         assert seen == 5 and quotients == 40 - 18 + 2
 
     def test_rejects_exactly_the_unsaturated(self):
-        # with a pendant triangle hung on, most inputs have T_2 vertices and
-        # are certified by walks from them and a scan of the reduced graph;
+        # with a pendant triangle hung on, most inputs have T_2 vertices;
         # the verdict must be the full scan's. KASaoBzhY?G@ (n = 12,
         # T_2 = {10, 11}) is C_6-free and has every witness at its T_2
-        # vertices, but is not saturated: the scan of its reduced graph
-        # misses a witness. K_6 with a pendant triangle (T_2 = {6, 7}) has
+        # vertices, but is not saturated: its reduced graph misses a
+        # witness. K_6 with a pendant triangle (T_2 = {6, 7}) has
         # every witness, in the input and in the reduced K_6, and a 6-cycle,
         # which only the scan's cycle walk finds
         pinned = from_graph6("KASaoBzhY?G@")

@@ -448,29 +448,37 @@ def c6_free_graphs(count=30, n_max=8, seed=0x5A7):
 
 
 def test_saturation_scan_walks_rows_sorted_by_degree():
-    # the witness scan gets a relabelled copy: ascending degrees, and the
-    # same graph up to labels when no class has four threads. The family
-    # member n >= 18 is scanned as its quotient, which has the degrees and
-    # edges of the member n' = 15 + n mod 3, whose three threads of four
-    # edges are the three that the quotient keeps
+    # the cycle walk and the witness scan get one relabelled copy: ascending
+    # degrees, and the same graph up to labels when no class has four
+    # threads. The family member n >= 18 is scanned as its quotient, which
+    # has the degrees and edges of the member n' = 15 + n mod 3, whose three
+    # threads of four edges are the three that the quotient keeps
     inputs = [(g.adj, k) for g, _ in GRAPHS for k in range(3, 8)]
     inputs += [(g.adj, 6) for g in c6_free_graphs()]
     inputs += [(build_construction(n)[0].adj, 6) for n in range(9, 65)]
-    scan = kernels.witness_scan
-    seen = []
+    scan, cycle = kernels.witness_scan, kernels.least_cycle
+    seen, cycle_seen = [], []
 
     def spy(rows, k):
         seen.append(rows)
         return scan(rows, k)
 
+    def cycle_spy(rows, k):
+        cycle_seen.append(rows)
+        return cycle(rows, k)
+
     scanned = reduced = 0
-    with mock.patch.object(kernels, "witness_scan", spy):
+    with mock.patch.object(kernels, "witness_scan", spy), \
+            mock.patch.object(kernels, "least_cycle", cycle_spy):
         for adj, k in inputs:
             seen.clear()
+            cycle_seen.clear()
             answer = kernels.saturation_scan(adj, k)
+            (cycle_rows,) = cycle_seen
             if not seen:
                 continue  # not C_k-free: no witness scan ran
             (rows,) = seen
+            assert rows is cycle_rows
             degrees = [row.bit_count() for row in rows]
             assert degrees == sorted(degrees)
             assert answer == scan(rows, k) == scan(adj, k)
@@ -519,15 +527,16 @@ def threaded_graphs(count=150, seed=0x7E4D):
 
 
 def test_saturation_scan_equals_unreduced_scan():
-    # the quotient has a witness for every non-edge iff the input does
-    # (kernels' Threads): the family at every k, the family's one-edge
-    # deletions and additions, and random graphs of parallel threads
+    # the quotient has a witness for every non-edge iff the input does, and
+    # is C_k-free iff the input is (kernels' Threads): the family at every
+    # k, the family's one-edge deletions and additions, and random graphs
+    # of parallel threads
     inputs = [(build_construction(n)[0], k) for n in range(9, 65) for k in range(3, 9)]
     for n in range(18, 25):
         g = build_construction(n)[0]
         inputs += [(g.without_edge(u, v), 6) for u, v in g.edges()]
         inputs += [(g.with_edge(u, v), 6) for u, v in g.non_edges()]
-    inputs += [(g, k) for g in threaded_graphs() for k in range(3, 8)]
+    inputs += [(g, k) for g in threaded_graphs() for k in range(3, 9)]
     verdicts = collections.Counter()
     for g, k in inputs:
         witnessed = kernels.witness_scan(g.adj, k)  # on the input rows
@@ -539,9 +548,13 @@ def test_saturation_scan_equals_unreduced_scan():
             # the lemma needs no C_k-freeness: the witness scans agree alone
             quotient = kernels._degree_sorted(g.adj, ~dropped)
             assert kernels.witness_scan(quotient, k) == witnessed, (to_graph6(g), k)
+            free = kernels.least_cycle(g.adj, k) is None
+            assert (kernels.least_cycle(quotient, k) is None) == free, (to_graph6(g), k)
             verdicts["saturation", want] += 1
             verdicts["witnesses", witnessed] += 1
-    assert all(verdicts[test, verdict] for test in ("saturation", "witnesses")
+            verdicts["cycle-free", free] += 1
+    assert all(verdicts[test, verdict]
+               for test in ("saturation", "witnesses", "cycle-free")
                for verdict in (True, False)), verdicts
 
 

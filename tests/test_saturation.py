@@ -31,6 +31,7 @@ from tests.conftest import (
     path_graph,
     process_graphs,
     star_graph,
+    thread_classes,
 )
 
 
@@ -403,6 +404,36 @@ class TestPendantTriangleLemma:
                 saturated += sat
         assert cases == 12000
         assert saturated == 1003
+
+
+class TestThreadLemmas:
+    def test_threads_are_short(self, extremal9):
+        # T1 and T2 of kernels' Threads on C_6-saturated graphs: a thread has
+        # at most 5 inner vertices and a loop thread 2; two threads of one
+        # class have at most 3, and 3 only between adjacent ends. Every
+        # thread lies in a maximal one, and only maximal ones form a class
+        # of two: at an end of degree 2 they would close a cycle of degree-2
+        # vertices, or a loop thread of more than 2
+        graphs = [build_construction(n)[0] for n in range(9, 65)]
+        graphs += list(extremal9.graphs) + process_graphs()
+        assert all(is_saturated_fast(g, 6) for g in graphs)
+        graphs += [g for g in _hung_graphs(random.Random(11), 3000)
+                   if is_saturated_fast(g, 6)]
+        seen = collections.Counter()
+        for g in graphs:
+            for (ends, inner), count in thread_classes(g.adj).items():
+                if len(ends) == 1:
+                    assert inner == 2, to_graph6(g)
+                    seen["loop"] += 1
+                    continue
+                assert inner <= 5, to_graph6(g)
+                if count >= 2:
+                    assert inner <= 3, to_graph6(g)
+                    if inner == 3:
+                        assert g.has_edge(*ends), to_graph6(g)
+                    seen["class", inner] += 1
+        # pendant triangles, and the family's classes of 3 inner vertices
+        assert seen["loop"] and seen["class", 3], seen
 
 
 class TestDegreeSum:
